@@ -27,9 +27,9 @@ from .errors import (
     BudgetExceededError,
     InconsistentSharesError,
     InsufficientIrreduciblesError,
-    InvalidParametersError,
     UnauthorizedSubsetError,
 )
+from .fieldpoly import vectors
 from .hashing import family_from_params
 from .oracle import (
     MODE_COALITION,
@@ -43,13 +43,7 @@ from .oracle import (
     preimage_exponent,
     state_count,
 )
-from .params import (
-    AccessStructure,
-    PublicParams,
-    generate_moduli,
-    is_authorized,
-    validate_params,
-)
+from .params import AccessStructure, PublicParams, check_params, generate_moduli, is_authorized
 from .scheme import deal, reconstruct
 from .yang import yang_attack, yang_deal
 
@@ -134,9 +128,7 @@ def cmd_gen_params(args) -> int:
         hash_backend=args.hash_backend,
         table_seed=args.table_seed if args.hash_backend == "table" else None,
     )
-    report = validate_params(structure, params)
-    if not report.ok:
-        raise InvalidParametersError(report.violations)
+    check_params(structure, params)
     fileio.save_params(args.out, structure, params)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
@@ -163,24 +155,10 @@ def cmd_deal(args) -> int:
     return 0
 
 
-def _load_shares(paths, structure, params):
-    shares = []
-    for path in paths:
-        share = fileio.load_share(path, params.p)
-        if share.participant > structure.n:
-            raise ValueError(f"{path}: participant {share.participant} exceeds n={structure.n}")
-        if share.level != structure.level_of(share.participant):
-            raise ValueError(f"{path}: level does not match the participant index")
-        if len(share.coeffs) != params.degrees[share.participant - 1]:
-            raise ValueError(f"{path}: expected {params.degrees[share.participant - 1]} coefficients")
-        shares.append(share)
-    return shares
-
-
 def cmd_reconstruct(args) -> int:
     structure, params = fileio.load_params(args.params)
     bulletin = fileio.load_bulletin(args.bulletin, params.p)
-    shares = _load_shares(args.shares, structure, params)
+    shares = [fileio.load_share(path, params.p) for path in args.shares]
     family = family_from_params(params, structure.m)
     secret = reconstruct(structure, params, family, bulletin, shares)
     print(" ".join(str(c) for c in secret))
@@ -190,7 +168,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_attack_yang(args) -> int:
     structure, params = fileio.load_params(args.params)
     masks = fileio.load_bulletin(args.masks, params.p)
-    shares = _load_shares(args.shares, structure, params)
+    shares = [fileio.load_share(path, params.p) for path in args.shares]
     coalition = sorted(share.participant for share in shares)
     if is_authorized(structure, coalition):
         print(
@@ -224,12 +202,7 @@ def cmd_analyze(args) -> int:
     expected_total = p ** (theta + d0)
 
     preimage_counts = {}
-    for index in range(p**d0):
-        v, coeffs = index, []
-        for _ in range(d0):
-            coeffs.append(v % p)
-            v //= p
-        secret = tuple(coeffs)
+    for secret in vectors(p, d0):
         preimage_counts[" ".join(str(c) for c in secret)] = count_secret_preimages(
             structure, params, coalition, secret, budget=budget, view=view
         )

@@ -12,7 +12,8 @@ construction validates it once (see `params`).
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+import itertools
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FieldMismatchError, NotCoprimeError, NotPairwiseCoprimeError
 
@@ -284,6 +285,17 @@ def inverse_mod(a: Poly, m: Poly) -> Poly:
     if g != Poly.one(a.p):
         raise NotCoprimeError(f"{a!r} is not invertible modulo {m!r}")
     return u % m
+
+
+def vectors(p: int, length: int, high: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Every vector of F_p**length ending in `high`, in index order.
+
+    The k-th vector of F_p**length is the base-p digits of k, low digit
+    first; fixing the highest-order digits to `high` picks one block of them.
+    """
+    ranges = [(d,) for d in reversed(high)] + [range(p)] * (length - len(high))
+    for digits in itertools.product(*ranges):
+        yield digits[::-1]
 
 
 def is_pairwise_coprime(polys: Sequence[Poly]) -> bool:

@@ -13,9 +13,8 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .errors import InvalidParametersError
 from .fieldpoly import Poly
-from .params import AccessStructure, PublicParams, validate_params
+from .params import AccessStructure, PublicParams, check_params
 from .scheme import Bulletin, Share
 
 FORMAT_VERSION = 1
@@ -50,11 +49,15 @@ def _parse_int(value, what: str) -> int:
         raise ValueError(f"{what} is not a decimal integer: {value!r}") from None
 
 
-def _parse_coeffs(values, p: int, what: str) -> tuple[int, ...]:
+def _array(values, what: str) -> list:
     if not isinstance(values, list):
-        raise ValueError(f"{what} must be an array of decimal strings")
+        raise ValueError(f"{what} must be an array")
+    return values
+
+
+def _parse_coeffs(values, p: int, what: str) -> tuple[int, ...]:
     out = []
-    for v in values:
+    for v in _array(values, what):
         c = _parse_int(v, what)
         if not 0 <= c < p:
             raise ValueError(f"{what}: coefficient {c} outside [0, {p})")
@@ -93,12 +96,12 @@ def load_params(path: Pathish) -> tuple[AccessStructure, PublicParams]:
     data = _read(path)
     p = _parse_int(data.get("p"), "p")
     structure = AccessStructure(
-        tuple(_parse_int(v, "level size") for v in data.get("level_sizes", [])),
-        tuple(_parse_int(v, "threshold") for v in data.get("thresholds", [])),
+        tuple(_parse_int(v, "level size") for v in _array(data.get("level_sizes"), "level_sizes")),
+        tuple(_parse_int(v, "threshold") for v in _array(data.get("thresholds"), "thresholds")),
     )
     moduli = tuple(
         Poly(p, _parse_coeffs(entry, p, f"modulus {k + 1}"))
-        for k, entry in enumerate(data.get("moduli", []))
+        for k, entry in enumerate(_array(data.get("moduli"), "moduli"))
     )
     backend = data.get("hash_backend", "crypto")
     seed = data.get("table_seed")
@@ -109,9 +112,7 @@ def load_params(path: Pathish) -> tuple[AccessStructure, PublicParams]:
         hash_backend=backend,
         table_seed=_parse_int(seed, "table_seed") if seed is not None else None,
     )
-    report = validate_params(structure, params)
-    if not report.ok:
-        raise InvalidParametersError(report.violations)
+    check_params(structure, params)
     return structure, params
 
 
@@ -162,10 +163,9 @@ def save_bulletin(path: Pathish, bulletin: Bulletin) -> None:
 def load_bulletin(path: Pathish, p: int) -> Bulletin:
     data = _read(path)
     entries = {}
-    raw = data.get("entries")
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: entries must be an array")
-    for record in raw:
+    for record in _array(data.get("entries"), f"{path}: entries"):
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}: every entry must be an object")
         level = _parse_int(record.get("level"), "entry level")
         participant = _parse_int(record.get("participant"), "entry participant")
         key = (level, participant)

@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, NoCrtSolutionError
-from .fieldpoly import Poly, crt_combine
+from .fieldpoly import Poly, crt_combine, vectors
 from .hashing import HashFamily, family_from_params
 from .params import AccessStructure, PublicParams, is_authorized
-from .scheme import Bulletin, deal
+from .scheme import Bulletin, _check_setup, deal
 
 MODE_COALITION = "coalition"
 MODE_FULL = "full"
@@ -95,8 +95,7 @@ class CoalitionView:
         for i, vector in self.shares.items():
             if len(vector) != degrees[i - 1]:
                 raise ValueError(f"share of participant {i} has the wrong length")
-        if self.family.p != self.params.p or self.family.num_levels != self.structure.m:
-            raise ValueError("hash family does not fit the parameters")
+        _check_setup(self.structure, self.params, self.family)
 
 
 def observe_coalition(
@@ -178,8 +177,13 @@ def _mask_targets(view: CoalitionView) -> list[tuple[int, int]]:
     return sorted(k for k in view.bulletin.entries if k[1] in view.coalition)
 
 
-def _count_range(view: CoalitionView, start: int, stop: int) -> dict[tuple[int, ...], int]:
-    """Histogram of consistent dealer states with flat index in [start, stop)."""
+def _count_states(
+    view: CoalitionView, highs: Sequence[tuple[int, ...]]
+) -> dict[tuple[int, ...], int]:
+    """Histogram of consistent dealer states whose highest-order digits are one of `highs`.
+
+    `[()]` covers every state.
+    """
     structure, params, family = view.structure, view.params, view.family
     p = params.p
     d0 = params.d0
@@ -209,19 +213,15 @@ def _count_range(view: CoalitionView, start: int, stop: int) -> dict[tuple[int, 
         pos += degrees[i - 1]
     assert pos == total_digits
 
+    states = chain.from_iterable(vectors(p, total_digits, high) for high in highs)
     histogram: dict[tuple[int, ...], int] = {}
-    digits = [0] * total_digits
-    for index in range(start, stop):
-        v = index
-        for j in range(total_digits):
-            digits[j] = v % p
-            v //= p
-        secret = tuple(digits[:d0])
+    for digits in states:
+        secret = digits[:d0]
 
         consistent = True
         for i in coalition_random:
             off, length = c_offsets[i]
-            if tuple(digits[off : off + length]) != observed_random[i]:
+            if digits[off : off + length] != observed_random[i]:
                 consistent = False
                 break
         if not consistent:
@@ -246,7 +246,7 @@ def _count_range(view: CoalitionView, start: int, stop: int) -> dict[tuple[int, 
 
         for level, i in mask_targets:
             off, length = c_offsets[i]
-            masked = family.hash_poly(level, tuple(digits[off : off + length]))
+            masked = family.hash_poly(level, digits[off : off + length])
             if (master(level) - masked) % moduli[i - 1] != observed_masks[(level, i)]:
                 consistent = False
                 break
@@ -255,17 +255,6 @@ def _count_range(view: CoalitionView, start: int, stop: int) -> dict[tuple[int, 
 
         histogram[secret] = histogram.get(secret, 0) + 1
     return histogram
-
-
-def _all_secrets(p: int, d0: int):
-    total = p**d0
-    for index in range(total):
-        v = index
-        coeffs = []
-        for _ in range(d0):
-            coeffs.append(v % p)
-            v //= p
-        yield tuple(coeffs)
 
 
 def enumerate_consistent(
@@ -277,26 +266,35 @@ def enumerate_consistent(
 
     The enumeration space is every (secret, blinding, random-vector) choice
     the dealer could have made; a state counts when it reproduces the
-    coalition's shares and the masks selected by the view mode. Partitioned
-    index ranges merge to the identical histogram, so `workers > 1` only
+    coalition's shares and the masks selected by the view mode. Disjoint
+    blocks of states merge to the identical histogram, so `workers > 1` only
     changes wall time.
     """
-    total = state_count(view)
-    budget.check(total)
+    budget.check(state_count(view))
+    p, d0 = view.params.p, view.params.d0
     if workers <= 1:
-        histogram = _count_range(view, 0, total)
+        histogram = _count_states(view, [()])
     else:
-        chunk = -(-total // workers)
-        spans = [
-            (view, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)
-        ]
+        # Imported here: the process-pool machinery adds about 2 MB to the
+        # resident size of every process that loads this module.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Each worker gets a run of values of the highest-order digits and
+        # walks only the states below them. Fixing enough digits for at
+        # least 8 runs per worker keeps the shares within about 1/8 of even.
+        _, _, total_digits = _state_layout(view)
+        fixed = 0
+        while fixed < total_digits and p**fixed < 8 * workers:
+            fixed += 1
+        highs = list(vectors(p, fixed))
+        share = -(-len(highs) // workers)
+        parts = [highs[lo : lo + share] for lo in range(0, len(highs), share)]
         histogram = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(_count_range, *zip(*spans)):
+            for partial in pool.map(_count_states, [view] * len(parts), parts):
                 for secret, count in partial.items():
                     histogram[secret] = histogram.get(secret, 0) + count
-    p, d0 = view.params.p, view.params.d0
-    return {secret: histogram.get(secret, 0) for secret in _all_secrets(p, d0)}
+    return {secret: histogram.get(secret, 0) for secret in vectors(p, d0)}
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +354,8 @@ def _scan_fiber(view: CoalitionView, secret: tuple[int, ...], seen: set) -> int:
         free_lens.append(max(0, degree_cap - step.degree))
         bounds.append(degree_cap)
 
-    total_free = sum(free_lens)
     count = 0
-    for index in range(p**total_free):
-        v = index
-        digits = []
-        for _ in range(total_free):
-            digits.append(v % p)
-            v //= p
+    for digits in vectors(p, sum(free_lens)):
         tuple_polys = []
         pos = 0
         for base, step, length in zip(bases, steps, free_lens):
@@ -442,7 +434,7 @@ def count_consistent_tuples(
     budget.check(params.p ** (exponent + params.d0))
     seen: set = set()
     total = 0
-    for secret in _all_secrets(params.p, params.d0):
+    for secret in vectors(params.p, params.d0):
         total += _scan_fiber(view, secret, seen)
     return total
 
@@ -511,12 +503,7 @@ def crt_bruteforce(
 
     reduced = [r % m for r, m in zip(residues, moduli)]
     matches = []
-    for index in range(states):
-        v = index
-        coeffs = []
-        for _ in range(total_degree):
-            coeffs.append(v % p)
-            v //= p
+    for coeffs in vectors(p, total_degree):
         candidate = Poly(p, coeffs)
         if all(candidate % m == r for r, m in zip(reduced, moduli)):
             matches.append(candidate)

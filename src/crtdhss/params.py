@@ -8,13 +8,14 @@ it holds at least t_l members inside that prefix.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InsufficientIrreduciblesError
-from .fieldpoly import Poly, is_pairwise_coprime, is_prime, poly_gcd, pow_mod
+from .errors import InsufficientIrreduciblesError, InvalidParametersError
+from .fieldpoly import Poly, is_pairwise_coprime, is_prime, poly_gcd, pow_mod, vectors
 
 MAX_PRIME = 2**64 - 1
 
@@ -125,11 +126,14 @@ class ValidationReport:
         return self.ok
 
 
+@functools.lru_cache(maxsize=256)
 def validate_params(structure: AccessStructure, params: PublicParams) -> ValidationReport:
     """Check the three moduli conditions plus pairwise coprimality.
 
     Violations are reported by name rather than raised: parameter files are
     operator input and a full list beats failing on the first problem.
+    Memoized: both arguments and the report are frozen, so each distinct
+    pair is validated once per process.
     """
     violations = []
     degrees = params.degrees
@@ -166,6 +170,13 @@ def validate_params(structure: AccessStructure, params: PublicParams) -> Validat
         violations.append("pairwise_coprime: some moduli share a factor")
 
     return ValidationReport(tuple(violations))
+
+
+def check_params(structure: AccessStructure, params: PublicParams) -> None:
+    """Raise InvalidParametersError unless `validate_params` finds no violation."""
+    report = validate_params(structure, params)
+    if not report.ok:
+        raise InvalidParametersError(report.violations)
 
 
 def is_authorized(structure: AccessStructure, subset: Iterable[int]) -> bool:
@@ -274,17 +285,8 @@ def _higher_degree_moduli(p: int, degree: int, count: int, rng: random.Random) -
             f"only {available} exist"
         )
     if p**degree <= _ENUMERATION_CUTOFF:
-        candidates = []
-        for index in range(p**degree):
-            coeffs = []
-            v = index
-            for _ in range(degree):
-                coeffs.append(v % p)
-                v //= p
-            coeffs.append(1)
-            f = Poly(p, coeffs)
-            if is_irreducible(f):
-                candidates.append(f)
+        monics = (Poly(p, low + (1,)) for low in vectors(p, degree))
+        candidates = [f for f in monics if is_irreducible(f)]
         rng.shuffle(candidates)
         return candidates[:count]
     chosen: list[Poly] = []

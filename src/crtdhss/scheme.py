@@ -17,15 +17,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    InconsistentSharesError,
-    InvalidParametersError,
-    MissingBulletinEntryError,
-    UnauthorizedSubsetError,
-)
+from .errors import InconsistentSharesError, MissingBulletinEntryError, UnauthorizedSubsetError
 from .fieldpoly import Poly, crt_combine
 from .hashing import HashFamily
-from .params import AccessStructure, PublicParams, min_authorized_level, validate_params
+from .params import AccessStructure, PublicParams, check_params, min_authorized_level
 
 
 @dataclass(frozen=True)
@@ -67,15 +62,40 @@ class MasterPolys:
 
 
 def _check_setup(structure: AccessStructure, params: PublicParams, family: HashFamily) -> None:
-    report = validate_params(structure, params)
-    if not report.ok:
-        raise InvalidParametersError(report.violations)
-    if family.p != params.p:
-        raise ValueError("hash family and parameters disagree on the field")
-    if family.num_levels != structure.m:
-        raise ValueError("hash family must provide one function per level")
-    if family.backend != params.hash_backend or family.table_seed != params.table_seed:
-        raise ValueError("hash family does not match the published hash configuration")
+    check_params(structure, params)
+    published = (params.hash_backend, params.p, structure.m, params.table_seed)
+    if (family.backend, family.p, family.num_levels, family.table_seed) != published:
+        raise ValueError(
+            "hash family does not match the published hash configuration, field or level count"
+        )
+
+
+def _pool_shares(
+    structure: AccessStructure, params: PublicParams, shares: Iterable[Share]
+) -> dict[int, Share]:
+    """Shares by participant, each checked against the parameters first.
+
+    A share must carry an index in 1..n, its participant's level, exactly
+    d_i coefficients, and only elements of F_p; two different shares for one
+    participant are inconsistent.
+    """
+    pooled = list(shares)
+    for share in pooled:
+        i = share.participant
+        if share.level != structure.level_of(i):
+            raise ValueError(f"share of participant {i} carries the wrong level")
+        if len(share.coeffs) != params.degrees[i - 1]:
+            raise ValueError(f"share of participant {i} has the wrong length")
+        if any(not 0 <= c < params.p for c in share.coeffs):
+            raise ValueError(f"share of participant {i} is not over F_{params.p}")
+    by_owner: dict[int, Share] = {}
+    for share in pooled:
+        existing = by_owner.setdefault(share.participant, share)
+        if existing != share:
+            raise InconsistentSharesError(
+                f"conflicting shares supplied for participant {share.participant}"
+            )
+    return by_owner
 
 
 def _check_secret(params: PublicParams, secret: Sequence[int]) -> tuple[int, ...]:
@@ -192,26 +212,7 @@ def reconstruct(
     consistency check on the pooled shares.
     """
     _check_setup(structure, params, family)
-    by_owner: dict[int, Share] = {}
-    for share in shares:
-        existing = by_owner.get(share.participant)
-        if existing is not None and existing != share:
-            raise InconsistentSharesError(
-                f"conflicting shares supplied for participant {share.participant}"
-            )
-        by_owner[share.participant] = share
-
-    degrees = params.degrees
-    for i, share in by_owner.items():
-        if not 1 <= i <= structure.n:
-            raise ValueError(f"participant index {i} out of range 1..{structure.n}")
-        if share.level != structure.level_of(i):
-            raise ValueError(f"share of participant {i} carries the wrong level")
-        if len(share.coeffs) != degrees[i - 1]:
-            raise ValueError(f"share of participant {i} has the wrong length")
-        if any(not 0 <= c < params.p for c in share.coeffs):
-            raise ValueError(f"share of participant {i} is not over F_{params.p}")
-
+    by_owner = _pool_shares(structure, params, shares)
     level = min_authorized_level(structure, by_owner.keys())
     if level is None:
         raise UnauthorizedSubsetError("these participants do not meet any threshold")
@@ -225,7 +226,7 @@ def reconstruct(
     f = crt_combine(residues, [params.moduli[i - 1] for i in members])
 
     t = structure.thresholds[level - 1]
-    if f.degree >= sum(degrees[:t]):
+    if f.degree >= sum(params.degrees[:t]):
         raise InconsistentSharesError(
             "reconstructed polynomial exceeds its degree bound; shares are "
             "tampered or mismatched"

@@ -17,14 +17,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    AttackNotApplicableError,
-    InvalidParametersError,
-    UnauthorizedSubsetError,
-)
+from .errors import AttackNotApplicableError, UnauthorizedSubsetError
 from .fieldpoly import Poly, crt_combine
-from .params import AccessStructure, PublicParams, min_authorized_level, validate_params
-from .scheme import Bulletin, Share
+from .params import AccessStructure, PublicParams, check_params, min_authorized_level
+from .scheme import Bulletin, Share, _check_secret, _master_polys, _pool_shares
 
 MASK_LEVEL = 2
 
@@ -40,9 +36,7 @@ class YangMasterPolys:
 def _check_two_level(structure: AccessStructure, params: PublicParams) -> None:
     if structure.m != 2:
         raise ValueError("this scheme is defined for exactly two levels")
-    report = validate_params(structure, params)
-    if not report.ok:
-        raise InvalidParametersError(report.violations)
+    check_params(structure, params)
 
 
 def yang_deal_with_internals(
@@ -53,22 +47,12 @@ def yang_deal_with_internals(
 ) -> tuple[tuple[Share, ...], Bulletin, YangMasterPolys]:
     """Deal and also return f_1, f_2 (for audits/tests)."""
     _check_two_level(structure, params)
-    vector = tuple(secret)
-    if len(vector) != params.d0:
-        raise ValueError(f"secret must have exactly {params.d0} coefficients")
-    if any(not 0 <= c < params.p for c in vector):
-        raise ValueError("secret coefficients must be field elements")
+    vector = _check_secret(params, secret)
+    f1, f2 = _master_polys(structure, params, vector, rng).polys
 
     p = params.p
     degrees = params.degrees
     n1 = structure.level_sizes[0]
-    s_poly = Poly(p, vector)
-    masters = []
-    for t in structure.thresholds:
-        alpha_len = sum(degrees[:t]) - params.d0
-        alpha = Poly(p, tuple(rng.randrange(p) for _ in range(alpha_len)))
-        masters.append(s_poly + alpha.shift(params.d0))
-    f1, f2 = masters
 
     shares = []
     for i in range(1, structure.n + 1):
@@ -102,7 +86,7 @@ def yang_reconstruct(
 ) -> tuple[int, ...]:
     """Honest reconstruction: requires an authorized coalition."""
     _check_two_level(structure, params)
-    by_owner = {share.participant: share for share in shares}
+    by_owner = _pool_shares(structure, params, shares)
     level = min_authorized_level(structure, by_owner.keys())
     if level is None:
         raise UnauthorizedSubsetError("these participants do not meet any threshold")
@@ -144,7 +128,7 @@ def yang_attack(
     degrees = params.degrees
     n1, t1, t2 = structure.level_sizes[0], *structure.thresholds
 
-    coalition = {share.participant: share for share in coalition_shares}
+    coalition = _pool_shares(structure, params, coalition_shares)
     if not coalition:
         raise AttackNotApplicableError("the coalition is empty")
     if any(i <= n1 for i in coalition):

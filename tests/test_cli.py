@@ -1,5 +1,6 @@
 """End-to-end command-line flows over real files."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -385,6 +386,28 @@ class TestFileFormats:
         )
         assert code == 2
         assert "participant_count" in err
+        for key in ("level_sizes", "thresholds", "moduli"):
+            data = json.loads(params_path.read_text())
+            data[key] = 3
+            bad.write_text(json.dumps(data))
+            code, _, err = run(capsys, "deal", "--params", str(bad), "--secret", "3",
+                               "--seed", "2", "--out-dir", str(tmp_path / "d"))
+            assert code == 2
+            assert f"{key} must be an array" in err
+
+    def test_malformed_bulletin_rejected_on_load(self, tmp_path, capsys):
+        params_path = gen_reference_params(tmp_path, capsys)
+        out_dir = tmp_path / "deal"
+        run(capsys, "deal", "--params", str(params_path), "--secret", "3",
+            "--seed", "2", "--out-dir", str(out_dir))
+        bad = tmp_path / "bad_bulletin.json"
+        for entries in ({}, [7], [["level", 1]]):
+            bad.write_text(json.dumps({"format_version": 1, "entries": entries}))
+            code, _, err = run(capsys, "reconstruct", "--params", str(params_path),
+                               "--bulletin", str(bad), str(out_dir / "share_001.json"),
+                               str(out_dir / "share_002.json"))
+            assert code == 2
+            assert "error:" in err
 
     def test_unknown_format_version_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -392,3 +415,59 @@ class TestFileFormats:
         code, _, _ = run(capsys, "reconstruct", "--params", str(bad),
                          "--bulletin", str(bad), str(bad))
         assert code == 2
+
+
+# sha256 of every file the seeded flows in TestGoldenBytes write. Identical
+# seeds must give byte-identical files across versions, not only across
+# reruns; a mismatch means a seeded output byte changed.
+GOLDEN_SHA256 = {
+    "analyze_coalition.json": "ece48f6790370d18b371661de78a40bd47ca9e8ab42f7351b7a0548486f20ace",
+    "analyze_full.json": "e9f5c77d36a20d2d5c11f71f23efd7124e6596d6964970ca634e874869fcbd20",
+    "deal/bulletin.json": "d0b163378c574716cd2104eb77f832d4ca7fa1cb61c5836a2a0d79639ece1997",
+    "deal/share_001.json": "c69e80a7873ea17f01072724329ec18b48774cbbb9a8db126f2f2e0dc1c03a2c",
+    "deal/share_002.json": "a9468c21e38f2994d43d2cb314c04f8eb3835320d55524a1a764b3c219ad11d9",
+    "deal/share_003.json": "53c7a34c219acd012c5163bb00fae2c8498127cc6205fdd86499b515b3fa38c9",
+    "deal/share_004.json": "f82c1befd65b1cfd9891adedafcc4a91ce19c306b571ba54bc58e5bd41be7fd3",
+    "deal/share_005.json": "50da5c08f3e63668a37a0b35aa6d5dd94b3d05940926194629b524ef762c7e73",
+    "deal/share_006.json": "e9554a994cbf8c023e1116db4252989844d86b5815059395b868b4de5d111734",
+    "deal/share_007.json": "7978fe4d769d46019659811db6debd20b48a878ff6b386a49ca00058ea7abe51",
+    "params.json": "7cbb3434bf3d443bfa98a4c84b2ba883b3c1a2e52046635c1b02038954bf1629",
+    "table_params.json": "5f3a181b9ba404743aef3177010e1dce0917c2d0ee554be12b59e64e960190d0",
+    "yang/masks.json": "6f952ee6147345b3ef1d3d867d7b32a947604ad63d9735ad9c4d564262f581e3",
+    "yang/share_001.json": "c69e80a7873ea17f01072724329ec18b48774cbbb9a8db126f2f2e0dc1c03a2c",
+    "yang/share_002.json": "b49e953aa8ddbbc25b47ef7e12d1ec403c289a3911442fe0e467b8b864c3fd82",
+    "yang/share_003.json": "4cb764dc058fced5db5e6bd132536eb6550f7f2e6b5c2b8fcb37c2d8d6e02550",
+    "yang/share_004.json": "cacbc8506ded4dcade349ecad21f8442c2c5b533668e83df53aef0889fe30be5",
+    "yang/share_005.json": "e99bfa41d6381d30cb56f1312208cd3deb9b016ad7e64386de031e3781c4c85c",
+    "yang/share_006.json": "e0ceb5c2b7c9fb957a938e598a30d2163f131cecb61f9486bfb4ac472392d052",
+    "yang/share_007.json": "48c3e6fc61ffea38b108b3c1662eb3725a01dcb30d536468311cf6af4d50bac6",
+}
+
+
+class TestGoldenBytes:
+    def test_seeded_outputs_match_recorded_digests(self, tmp_path, capsys):
+        params = str(tmp_path / "params.json")
+        table_params = str(tmp_path / "table_params.json")
+        flows = [
+            ("gen-params", "--p", "11", "--levels", "3,4", "--thresholds", "2,3",
+             "--degrees", "1x7", "--seed", "1", "--out", params),
+            ("gen-params", "--p", "3", "--levels", "1,2", "--thresholds", "1,2",
+             "--degrees", "1,2,2", "--seed", "1", "--hash-backend", "table",
+             "--table-seed", "2", "--out", table_params),
+            ("deal", "--params", params, "--secret", "3", "--seed", "2",
+             "--out-dir", str(tmp_path / "deal")),
+            ("deal", "--params", params, "--secret", "6", "--seed", "3",
+             "--out-dir", str(tmp_path / "yang"), "--yang"),
+        ] + [
+            ("analyze", "--params", table_params, "--coalition", "2", "--mode", mode,
+             "--seed", "4", "--report", str(tmp_path / f"analyze_{mode}.json"))
+            for mode in ("coalition", "full")
+        ]
+        for argv in flows:
+            assert run(capsys, *argv)[0] == 0
+        written = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.rglob("*")
+            if path.is_file()
+        }
+        assert written == GOLDEN_SHA256

@@ -149,7 +149,9 @@ class TestEnumerateConsistent:
     def test_worker_partitioning_is_lossless(self):
         structure, params = tiny_state_setup()
         view, _ = observe_coalition(structure, params, {2}, rng=random.Random(3))
-        assert enumerate_consistent(view) == enumerate_consistent(view, workers=2)
+        serial = enumerate_consistent(view)
+        assert serial == enumerate_consistent(view, workers=2)
+        assert serial == enumerate_consistent(view, workers=3)
 
     def test_upper_level_coalition_member_constraints(self):
         # participant 1 sits in the top level, so its own masks constrain

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtdhss.errors import InsufficientIrreduciblesError
+from crtdhss.cli import main
+from crtdhss.errors import InsufficientIrreduciblesError, InvalidParametersError
 from crtdhss.fieldpoly import Poly, is_pairwise_coprime
+from crtdhss.fileio import save_bulletin, save_params, save_share
+from crtdhss.hashing import family_from_params
 from crtdhss.params import (
     AccessStructure,
     PublicParams,
+    check_params,
     generate_moduli,
     information_rate,
     is_authorized,
@@ -20,6 +24,7 @@ from crtdhss.params import (
     monic_irreducible_count,
     validate_params,
 )
+from crtdhss.scheme import deal, reconstruct
 
 
 def linear(p, a):
@@ -268,3 +273,51 @@ class TestInformationRate:
             params = params_with_degrees(11, d0, degrees, seed=seed)
             s = AccessStructure((4,), (rng.randint(1, 4),))
             assert information_rate(s, params) <= 1
+
+
+class TestValidateOnce:
+    """validate_params is memoized: repeated calls on one pair do the work once."""
+
+    @pytest.fixture
+    def validations(self):
+        """Number of validations actually run, starting from an empty memo."""
+        validate_params.cache_clear()
+        return lambda: validate_params.cache_info().misses
+
+    def dealt(self):
+        structure = AccessStructure((3, 4), (2, 3))
+        params = params_with_degrees(11, 1, [1] * 7, seed=3)
+        family = family_from_params(params, structure.m)
+        shares, bulletin = deal(structure, params, family, (5,), random.Random(1))
+        return structure, params, family, shares, bulletin
+
+    def test_deal_and_three_reconstructs_validate_once(self, validations):
+        structure, params, family, shares, bulletin = self.dealt()
+        for coalition in (shares[:2], shares[3:6], shares):
+            assert reconstruct(structure, params, family, bulletin, coalition) == (5,)
+        assert validations() == 1
+        assert validate_params.cache_info().hits == 3
+
+    def test_cli_reconstruct_validates_once(self, validations, tmp_path, capsys):
+        structure, params, _, shares, bulletin = self.dealt()
+        save_params(tmp_path / "params.json", structure, params)
+        save_bulletin(tmp_path / "bulletin.json", bulletin)
+        for share in shares[:2]:
+            save_share(tmp_path / f"share_{share.participant}.json", share)
+        validate_params.cache_clear()
+        code = main([
+            "reconstruct", "--params", str(tmp_path / "params.json"),
+            "--bulletin", str(tmp_path / "bulletin.json"),
+            str(tmp_path / "share_1.json"), str(tmp_path / "share_2.json"),
+        ])
+        assert code == 0 and capsys.readouterr().out == "5\n"
+        assert validations() == 1
+
+    def test_invalid_pair_fails_on_every_call(self, validations):
+        structure = AccessStructure((3,), (2,))
+        moduli = (linear(5, 1), linear(5, 2), Poly(5, [2, 0, 1]))
+        params = PublicParams(5, 1, moduli)  # degrees (1,1,2) violate (iii)
+        for _ in range(3):
+            with pytest.raises(InvalidParametersError):
+                check_params(structure, params)
+        assert validations() == 1

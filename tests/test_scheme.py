@@ -249,6 +249,28 @@ class TestReconstruct:
         )
 
 
+class TestFamilyCheck:
+    @pytest.mark.parametrize(
+        "backend, other",
+        [
+            ("crypto", HashFamily.table(11, 2, 2)),
+            ("crypto", HashFamily.crypto(13, 2)),
+            ("crypto", HashFamily.crypto(11, 3)),
+            ("table", HashFamily.table(11, 2, 5)),  # the published table seed is 2
+        ],
+        ids=["backend", "field", "level_count", "table_seed"],
+    )
+    def test_mismatched_family_rejected_by_deal_and_reconstruct(self, backend, other):
+        structure, params, family = make_setup(
+            11, (2, 2), (1, 2), [1] * 4, seed=1, backend=backend
+        )
+        shares, bulletin = deal(structure, params, family, (4,), random.Random(0))
+        with pytest.raises(ValueError, match="hash family"):
+            deal(structure, params, other, (4,), random.Random(0))
+        with pytest.raises(ValueError, match="hash family"):
+            reconstruct(structure, params, other, bulletin, shares)
+
+
 class TestUnmask:
     def setup_shares(self):
         structure, params, family = make_setup(11, (2, 2), (1, 2), [1] * 4, seed=2)

@@ -5,7 +5,11 @@ import random
 
 import pytest
 
-from crtdhss.errors import AttackNotApplicableError, UnauthorizedSubsetError
+from crtdhss.errors import (
+    AttackNotApplicableError,
+    InconsistentSharesError,
+    UnauthorizedSubsetError,
+)
 from crtdhss.params import (
     AccessStructure,
     PublicParams,
@@ -13,6 +17,7 @@ from crtdhss.params import (
     is_authorized,
     validate_params,
 )
+from crtdhss.scheme import Share
 from crtdhss.yang import (
     yang_attack,
     yang_deal,
@@ -149,3 +154,33 @@ class TestYangAttack:
         assert yang_attack(structure, params, masks, picked) == yang_attack(
             structure, params, masks, picked
         )
+
+
+class TestShareGate:
+    """Malformed or conflicting shares raise instead of yielding a wrong secret."""
+
+    def dealt(self):
+        structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=5)
+        shares, masks = yang_deal(structure, params, (3,), random.Random(2))
+        return structure, params, shares, masks
+
+    @pytest.mark.parametrize(
+        "forge, error",
+        [
+            (lambda c: Share(1, 1, (c, 1)), ValueError),  # too long
+            (lambda c: Share(1, 2, (c,)), ValueError),  # wrong level
+            (lambda c: Share(1, 1, (c + 12,)), ValueError),  # outside F_11
+            (lambda c: Share(1, 1, ((c + 1) % 11,)), InconsistentSharesError),  # duplicate
+        ],
+        ids=["too_long", "wrong_level", "outside_field", "conflicting_duplicate"],
+    )
+    def test_reconstruct_rejects_bad_share(self, forge, error):
+        structure, params, shares, masks = self.dealt()
+        pooled = [shares[0], shares[1], forge(shares[0].coeffs[0])]
+        with pytest.raises(error):
+            yang_reconstruct(structure, params, masks, pooled)
+
+    def test_attack_rejects_out_of_range_participant(self):
+        structure, params, shares, masks = self.dealt()
+        with pytest.raises(ValueError, match="out of range"):
+            yang_attack(structure, params, masks, [shares[3], Share(99, 2, (0,))])
