@@ -76,10 +76,6 @@ class Poly:
         return cls(p, (1,))
 
     @classmethod
-    def constant(cls, p: int, value: int) -> "Poly":
-        return cls(p, (value,))
-
-    @classmethod
     def x_power(cls, p: int, k: int) -> "Poly":
         """The monomial x**k."""
         return cls(p, (0,) * k + (1,))
@@ -102,12 +98,6 @@ class Poly:
         if len(self.coeffs) > length:
             raise ValueError(f"degree {self.degree} does not fit in {length} coefficients")
         return self.coeffs + (0,) * (length - len(self.coeffs))
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
 
     # -- arithmetic --------------------------------------------------------
 

@@ -28,7 +28,8 @@ _TABLE_CONTEXT = b"crtdhss.table-hash.v1"
 # large for exhaustive work, which is that backend's entire purpose.
 TABLE_FIELD_LIMIT = 1 << 20
 
-_SEED_LIMIT = 1 << 64
+# A table seed enters the table derivation as 8 big-endian bytes.
+TABLE_SEED_LIMIT = 1 << 64
 
 
 def _digest_to_bits(digest: bytes, bits: int) -> int:
@@ -55,7 +56,7 @@ class HashFamily:
         if backend == "table":
             if table_seed is None:
                 raise ValueError("the table backend requires a seed")
-            if not 0 <= table_seed < _SEED_LIMIT:
+            if not 0 <= table_seed < TABLE_SEED_LIMIT:
                 raise ValueError("table seed must fit in 64 bits")
             if p > TABLE_FIELD_LIMIT:
                 raise ValueError(

@@ -37,7 +37,7 @@ from .errors import BudgetExceededError, NoCrtSolutionError
 from .fieldpoly import Poly, crt_combine, vectors
 from .hashing import HashFamily, family_from_params
 from .params import AccessStructure, PublicParams, is_authorized
-from .scheme import Bulletin, _check_setup, deal
+from .scheme import Bulletin, Share, _check_secret, _check_setup, _pool_shares, deal, unmask_share
 
 MODE_COALITION = "coalition"
 MODE_FULL = "full"
@@ -91,11 +91,13 @@ class CoalitionView:
             raise ValueError("the coalition is authorized; nothing to audit")
         if set(self.shares) != set(self.coalition):
             raise ValueError("exactly the coalition members' shares are required")
-        degrees = self.params.degrees
-        for i, vector in self.shares.items():
-            if len(vector) != degrees[i - 1]:
-                raise ValueError(f"share of participant {i} has the wrong length")
         _check_setup(self.structure, self.params, self.family)
+        _pool_shares(self.structure, self.params, _member_shares(self))
+
+
+def _member_shares(view: CoalitionView) -> list[Share]:
+    """The coalition's shares as `Share` records, by participant."""
+    return [Share(i, view.structure.level_of(i), view.shares[i]) for i in sorted(view.shares)]
 
 
 def observe_coalition(
@@ -304,20 +306,13 @@ def enumerate_consistent(
 
 def _coalition_residues(view: CoalitionView) -> dict[tuple[int, int], Poly]:
     """The residue of each master polynomial pinned by a coalition member."""
-    structure, params, family = view.structure, view.params, view.family
-    p = params.p
-    m = structure.m
-    prefix = structure.prefix_counts
-    n_random = prefix[m - 2] if m > 1 else 0
+    moduli, m = view.params.moduli, view.structure.m
     residues = {}
-    for i in sorted(view.coalition):
-        share = view.shares[i]
-        for level in range(structure.level_of(i), m + 1):
-            if level == m and i > n_random:
-                value = Poly(p, share)
-            else:
-                value = family.hash_poly(level, share) + view.bulletin.entry(level, i)
-            residues[(level, i)] = value % params.moduli[i - 1]
+    for share in _member_shares(view):
+        i = share.participant
+        for level in range(share.level, m + 1):
+            value = unmask_share(view.family, view.bulletin, share, level)
+            residues[(level, i)] = value % moduli[i - 1]
     return residues
 
 
@@ -412,12 +407,10 @@ def count_secret_preimages(
     Counts over a concrete observed view (a freshly dealt one by default;
     the count itself is view-independent).
     """
+    vector = _check_secret(params, secret)
     view = _checked_view(structure, params, coalition, view)
     exponent = preimage_exponent(structure, params, coalition)
     budget.check(params.p**exponent)
-    vector = tuple(secret)
-    if len(vector) != params.d0:
-        raise ValueError(f"secret must have exactly {params.d0} coefficients")
     return _scan_fiber(view, vector, set())
 
 

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InsufficientIrreduciblesError, InvalidParametersError
 from .fieldpoly import Poly, is_pairwise_coprime, is_prime, poly_gcd, pow_mod, vectors
+from .hashing import TABLE_SEED_LIMIT
 
 MAX_PRIME = 2**64 - 1
 
@@ -101,6 +102,8 @@ class PublicParams:
             raise ValueError(f"unknown hash backend {self.hash_backend!r}")
         if (self.table_seed is None) == (self.hash_backend == "table"):
             raise ValueError("table_seed must be given exactly when hash_backend is 'table'")
+        if self.table_seed is not None and not 0 <= self.table_seed < TABLE_SEED_LIMIT:
+            raise ValueError("table seed must fit in 64 bits")
 
     @property
     def degrees(self) -> tuple[int, ...]:

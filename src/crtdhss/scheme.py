@@ -13,9 +13,10 @@ polynomials: the coefficient-wise hash must cover trailing zeros too.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InconsistentSharesError, MissingBulletinEntryError, UnauthorizedSubsetError
 from .fieldpoly import Poly, crt_combine
@@ -146,27 +147,20 @@ def deal_with_internals(
     degrees = params.degrees
     prefix = structure.prefix_counts
     n_random = prefix[m - 2] if m > 1 else 0  # N_{m-1}
-    last_start = n_random + 1
 
     shares = []
     for i in range(1, structure.n + 1):
-        level = structure.level_of(i)
-        if i < last_start:
+        if i <= n_random:
             coeffs = _draw_vector(rng, params.p, degrees[i - 1])
         else:
             coeffs = (masters.polys[m - 1] % params.moduli[i - 1]).padded(degrees[i - 1])
-        shares.append(Share(i, level, coeffs))
+        shares.append(Share(i, structure.level_of(i), coeffs))
 
     entries: dict[tuple[int, int], Poly] = {}
-    for level in range(1, m):
-        f = masters.polys[level - 1]
-        for i in range(1, prefix[level - 1] + 1):
+    for level, f in enumerate(masters.polys, start=1):
+        for i in range(1, min(prefix[level - 1], n_random) + 1):
             masked = family.hash_poly(level, shares[i - 1].coeffs)
             entries[(level, i)] = (f - masked) % params.moduli[i - 1]
-    f_last = masters.polys[m - 1]
-    for i in range(1, n_random + 1):
-        masked = family.hash_poly(m, shares[i - 1].coeffs)
-        entries[(m, i)] = (f_last - masked) % params.moduli[i - 1]
 
     return tuple(shares), Bulletin(entries), masters
 
@@ -187,15 +181,54 @@ def unmask_share(family: HashFamily, bulletin: Bulletin, share: Share, use_level
     """The residue of f_use_level modulo this participant's modulus.
 
     Masked shares are unmasked by adding the published entry to the hashed
-    share vector; a bottom-level share used at the bottom level is already
-    the residue itself.
+    share vector; only a bottom-level share used at the bottom level is
+    already the residue itself.
     """
     key = (use_level, share.participant)
     if key in bulletin:
         return family.hash_poly(use_level, share.coeffs) + bulletin.entry(*key)
-    if share.level == use_level:
+    if share.level == use_level == family.num_levels:
         return Poly(family.p, share.coeffs)
     raise MissingBulletinEntryError(key)
+
+
+def _open(
+    params: PublicParams, residues: Sequence[Poly], members: Sequence[int], degree_cap: int
+) -> tuple[int, ...]:
+    """The secret read off the CRT solution f of the members' residues.
+
+    An honest f has degree below `degree_cap`; surplus congruences beyond
+    that weight catch a tampered or mismatched share as a degree overflow.
+    """
+    f = crt_combine(residues, [params.moduli[i - 1] for i in members])
+    if f.degree >= degree_cap:
+        raise InconsistentSharesError(
+            "reconstructed polynomial exceeds its degree bound; shares are "
+            "tampered or mismatched"
+        )
+    return (f % params.secret_modulus).padded(params.d0)
+
+
+def _recover(
+    structure: AccessStructure,
+    params: PublicParams,
+    shares: Iterable[Share],
+    unmask: Callable[[Share, int], Poly],
+) -> tuple[int, ...]:
+    """Open f_l at the smallest authorized level l from the pooled shares.
+
+    Every member within level l's prefix contributes `unmask(share, l)`, a
+    residue of f_l; those beyond the threshold weight check the rest.
+    """
+    by_owner = _pool_shares(structure, params, shares)
+    level = min_authorized_level(structure, by_owner.keys())
+    if level is None:
+        raise UnauthorizedSubsetError("these participants do not meet any threshold")
+    bound = structure.prefix_counts[level - 1]
+    members = sorted(i for i in by_owner if i <= bound)
+    residues = [unmask(by_owner[i], level) for i in members]
+    t = structure.thresholds[level - 1]
+    return _open(params, residues, members, sum(params.degrees[:t]))
 
 
 def reconstruct(
@@ -212,23 +245,4 @@ def reconstruct(
     consistency check on the pooled shares.
     """
     _check_setup(structure, params, family)
-    by_owner = _pool_shares(structure, params, shares)
-    level = min_authorized_level(structure, by_owner.keys())
-    if level is None:
-        raise UnauthorizedSubsetError("these participants do not meet any threshold")
-
-    bound = structure.prefix_counts[level - 1]
-    members = sorted(i for i in by_owner if i <= bound)
-    residues = [
-        unmask_share(family, bulletin, by_owner[i], level) % params.moduli[i - 1]
-        for i in members
-    ]
-    f = crt_combine(residues, [params.moduli[i - 1] for i in members])
-
-    t = structure.thresholds[level - 1]
-    if f.degree >= sum(params.degrees[:t]):
-        raise InconsistentSharesError(
-            "reconstructed polynomial exceeds its degree bound; shares are "
-            "tampered or mismatched"
-        )
-    return (f % params.secret_modulus).padded(params.d0)
+    return _recover(structure, params, shares, functools.partial(unmask_share, family, bulletin))

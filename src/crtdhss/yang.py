@@ -9,28 +9,31 @@ the attack are implemented so the break can be demonstrated end to end.
 
 Masks are carried as a `Bulletin` keyed (2, i) for i in the top level: a
 mask lets a top-level share stand in at the bottom trust level.
+
+Both paths open f_l through the hierarchical scheme's degree-checked
+`_open`, so weight beyond the threshold detects a tampered share here too.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import AttackNotApplicableError, UnauthorizedSubsetError
+from .errors import AttackNotApplicableError
 from .fieldpoly import Poly, crt_combine
-from .params import AccessStructure, PublicParams, check_params, min_authorized_level
-from .scheme import Bulletin, Share, _check_secret, _master_polys, _pool_shares
+from .params import AccessStructure, PublicParams, check_params
+from .scheme import (
+    Bulletin,
+    MasterPolys,
+    Share,
+    _check_secret,
+    _master_polys,
+    _open,
+    _pool_shares,
+    _recover,
+)
 
 MASK_LEVEL = 2
-
-
-@dataclass(frozen=True)
-class YangMasterPolys:
-    """Dealer-internal pair (f_1, f_2). Never published."""
-
-    f1: Poly
-    f2: Poly
 
 
 def _check_two_level(structure: AccessStructure, params: PublicParams) -> None:
@@ -44,13 +47,12 @@ def yang_deal_with_internals(
     params: PublicParams,
     secret: Sequence[int],
     rng: random.Random,
-) -> tuple[tuple[Share, ...], Bulletin, YangMasterPolys]:
+) -> tuple[tuple[Share, ...], Bulletin, MasterPolys]:
     """Deal and also return f_1, f_2 (for audits/tests)."""
     _check_two_level(structure, params)
     vector = _check_secret(params, secret)
-    f1, f2 = _master_polys(structure, params, vector, rng).polys
-
-    p = params.p
+    masters = _master_polys(structure, params, vector, rng)
+    f1, f2 = masters.polys
     degrees = params.degrees
     n1 = structure.level_sizes[0]
 
@@ -61,10 +63,10 @@ def yang_deal_with_internals(
         shares.append(Share(i, structure.level_of(i), coeffs))
 
     masks = {
-        (MASK_LEVEL, i): (f2 - shares[i - 1].poly(p)) % params.moduli[i - 1]
+        (MASK_LEVEL, i): (f2 - shares[i - 1].poly(params.p)) % params.moduli[i - 1]
         for i in range(1, n1 + 1)
     }
-    return tuple(shares), Bulletin(masks), YangMasterPolys(f1, f2)
+    return tuple(shares), Bulletin(masks), masters
 
 
 def yang_deal(
@@ -86,23 +88,14 @@ def yang_reconstruct(
 ) -> tuple[int, ...]:
     """Honest reconstruction: requires an authorized coalition."""
     _check_two_level(structure, params)
-    by_owner = _pool_shares(structure, params, shares)
-    level = min_authorized_level(structure, by_owner.keys())
-    if level is None:
-        raise UnauthorizedSubsetError("these participants do not meet any threshold")
 
-    p = params.p
-    n1 = structure.level_sizes[0]
-    bound = structure.prefix_counts[level - 1]
-    members = sorted(i for i in by_owner if i <= bound)
-    residues = []
-    for i in members:
-        c = by_owner[i].poly(p)
-        if level == 2 and i <= n1:
-            c = (c + masks.entry(MASK_LEVEL, i)) % params.moduli[i - 1]
-        residues.append(c)
-    f = crt_combine(residues, [params.moduli[i - 1] for i in members])
-    return (f % params.secret_modulus).padded(params.d0)
+    def unmask(share: Share, level: int) -> Poly:
+        # An unmasked share is a residue of its own level's f_l; a mask moves it to another.
+        if share.level == level and (level, share.participant) not in masks:
+            return share.poly(params.p)
+        return share.poly(params.p) + masks.entry(level, share.participant)
+
+    return _recover(structure, params, shares, unmask)
 
 
 def yang_attack(
@@ -116,17 +109,18 @@ def yang_attack(
     Step 1: the masks of the top level are residues of f_2 - f_1, whose
     degree stays below the degree sum of any t_2 moduli; with n_1 >= t_2
     the difference is determined exactly by CRT over the whole top level.
-    Step 2: subtracting its residues from the coalition's own shares turns
-    them into residues of f_1, which CRT determines once the coalition's
-    degree sum reaches that of the t_1 smallest moduli.
+    Step 2: subtracting it from the coalition's own shares turns them into
+    residues of f_1, which CRT determines once the coalition's degree sum
+    reaches that of the t_1 smallest moduli; any weight beyond that checks
+    the coalition's shares, as in honest reconstruction.
     Step 3: the secret is f_1 reduced modulo x**d0.
 
     Only published values and the coalition's own shares are consumed.
     """
     _check_two_level(structure, params)
-    p = params.p
     degrees = params.degrees
     n1, t1, t2 = structure.level_sizes[0], *structure.thresholds
+    f1_cap = sum(degrees[:t1])
 
     coalition = _pool_shares(structure, params, coalition_shares)
     if not coalition:
@@ -137,7 +131,7 @@ def yang_attack(
         raise AttackNotApplicableError(
             f"top level holds {n1} < t_2 = {t2} moduli, too few to pin down f_2 - f_1"
         )
-    if sum(degrees[i - 1] for i in coalition) < sum(degrees[:t1]):
+    if sum(degrees[i - 1] for i in coalition) < f1_cap:
         raise AttackNotApplicableError(
             "coalition degree sum is below the first-level threshold weight"
         )
@@ -147,9 +141,5 @@ def yang_attack(
     delta = crt_combine(top_masks, top_moduli)  # f_2 - f_1
 
     members = sorted(coalition)
-    residues = []
-    for i in members:
-        m_i = params.moduli[i - 1]
-        residues.append((coalition[i].poly(p) - delta % m_i) % m_i)
-    f1 = crt_combine(residues, [params.moduli[i - 1] for i in members])
-    return (f1 % params.secret_modulus).padded(params.d0)
+    residues = [coalition[i].poly(params.p) - delta for i in members]
+    return _open(params, residues, members, f1_cap)

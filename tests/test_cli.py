@@ -66,6 +66,21 @@ class TestGenParams:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_table_seed_outside_64_bits_exit_2_and_no_file(self, tmp_path, capsys, seed):
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys,
+            "gen-params",
+            "--p", "11", "--levels", "3,4", "--thresholds", "2,3",
+            "--degrees", "1x7", "--seed", "1",
+            "--hash-backend", "table", "--table-seed", seed,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "64 bits" in err
+        assert not out.exists()
+
     def test_missing_seed_refused_without_optin(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -159,6 +174,31 @@ class TestDealReconstruct:
         )
         assert code == 5
 
+    def test_missing_bulletin_entry_exit_2(self, tmp_path, capsys):
+        # Without the (1, 1) mask, share 1's raw vector used to stand in for
+        # a residue of f_1 and the wrong secret 1 was printed with exit 0.
+        params_path = gen_reference_params(tmp_path, capsys)
+        out_dir = tmp_path / "deal"
+        run(capsys, "deal", "--params", str(params_path), "--secret", "3",
+            "--seed", "2", "--out-dir", str(out_dir))
+        bulletin_path = out_dir / "bulletin.json"
+        payload = json.loads(bulletin_path.read_text())
+        payload["entries"] = [
+            e for e in payload["entries"] if (e["level"], e["participant"]) != (1, 1)
+        ]
+        bulletin_path.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys,
+            "reconstruct",
+            "--params", str(params_path),
+            "--bulletin", str(bulletin_path),
+            str(out_dir / "share_001.json"),
+            str(out_dir / "share_002.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_wrong_secret_length_exit_2(self, tmp_path, capsys):
         params_path = gen_reference_params(tmp_path, capsys)
         code, _, _ = run(
@@ -243,6 +283,24 @@ class TestAttackYang:
             str(out_dir / "share_005.json"),
         )
         assert run(capsys, *argv)[1] == run(capsys, *argv)[1]
+
+    def test_tampered_share_exit_5(self, tmp_path, capsys):
+        params_path, out_dir = self.deal_yang(tmp_path, capsys)
+        _, params = load_params(params_path)
+        victim = load_share(out_dir / "share_005.json", params.p)
+        bumped = ((victim.coeffs[0] + 1) % params.p,)
+        save_share(out_dir / "share_005.json", Share(5, victim.level, bumped))
+        code, out, _ = run(
+            capsys,
+            "attack-yang",
+            "--params", str(params_path),
+            "--masks", str(out_dir / "masks.json"),
+            str(out_dir / "share_004.json"),
+            str(out_dir / "share_005.json"),
+            str(out_dir / "share_006.json"),
+        )
+        assert code == 5
+        assert out == ""
 
     def test_small_top_level_exit_6(self, tmp_path, capsys):
         params_path, out_dir = self.deal_yang(tmp_path, capsys, levels="2,4")

@@ -113,6 +113,15 @@ class TestCoalitionView:
                 view.bulletin,
             )
 
+    def test_share_outside_field_rejected(self):
+        structure, params = theta_one_setup()
+        view, _ = observe_coalition(structure, params, {3})
+        forged = (view.shares[3][0] + params.p,) + view.shares[3][1:]
+        with pytest.raises(ValueError, match="not over F_3"):
+            CoalitionView(
+                structure, params, view.family, view.coalition, {3: forged}, view.bulletin
+            )
+
 
 class TestEnumerateConsistent:
     def test_uniform_histogram_coalition_mode(self):
@@ -231,6 +240,12 @@ class TestTupleCounts:
             count_consistent_tuples(
                 structure, params, {3}, budget=EnumerationBudget(8)
             )
+
+    def test_secret_outside_field_rejected(self):
+        # (3,) used to be counted as the secret (0,) at p = 3
+        structure, params = theta_one_setup()
+        with pytest.raises(ValueError, match="field elements"):
+            count_secret_preimages(structure, params, {3}, (3,))
 
     def test_view_mismatch_rejected(self):
         structure, params = theta_one_setup()

@@ -132,6 +132,12 @@ class TestPublicParamsConstruction:
             PublicParams(5, 1, (linear(5, 1),), hash_backend="crypto", table_seed=3)
         PublicParams(5, 1, (linear(5, 1),), hash_backend="table", table_seed=3)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_table_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="64 bits"):
+            PublicParams(5, 1, (linear(5, 1),), hash_backend="table", table_seed=seed)
+        PublicParams(5, 1, (linear(5, 1),), hash_backend="table", table_seed=2**64 - 1)
+
     def test_constant_modulus_rejected(self):
         with pytest.raises(ValueError):
             PublicParams(5, 1, (Poly(5, [2]),))

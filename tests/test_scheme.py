@@ -21,6 +21,7 @@ from crtdhss.params import (
     validate_params,
 )
 from crtdhss.scheme import (
+    Bulletin,
     Share,
     deal,
     deal_with_internals,
@@ -296,3 +297,16 @@ class TestUnmask:
         _, _, family, shares, bulletin, _ = self.setup_shares()
         with pytest.raises(MissingBulletinEntryError):
             unmask_share(family, bulletin, shares[3], 1)
+
+    def test_higher_level_share_without_entry_raises(self):
+        # A missing mask must not let the raw random vector stand in for a
+        # residue of f_1: that opened (1,) for the secret (3,) here.
+        structure, params, family = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=1)
+        shares, bulletin = deal(structure, params, family, (3,), random.Random(2))
+        entries = dict(bulletin.entries)
+        del entries[(1, 1)]
+        gapped = Bulletin(entries)
+        with pytest.raises(MissingBulletinEntryError):
+            unmask_share(family, gapped, shares[0], 1)
+        with pytest.raises(MissingBulletinEntryError):
+            reconstruct(structure, params, family, gapped, shares[:2])

@@ -46,7 +46,7 @@ class TestYangDeal:
         shares, masks, masters = yang_deal_with_internals(
             structure, params, (2,), random.Random(7)
         )
-        diff = masters.f2 - masters.f1
+        diff = masters.polys[1] - masters.polys[0]
         for i in range(1, 4):
             assert masks.entry(2, i) == diff % params.moduli[i - 1]
 
@@ -56,7 +56,7 @@ class TestYangDeal:
             structure, params, (2,), random.Random(7)
         )
         for share in shares:
-            f = masters.f1 if share.participant <= 3 else masters.f2
+            f = masters.polys[0] if share.participant <= 3 else masters.polys[1]
             assert share.poly(11) == f % params.moduli[share.participant - 1]
 
     def test_three_level_structure_rejected(self):
@@ -111,7 +111,7 @@ class TestYangAttack:
             _, _, masters = yang_deal_with_internals(
                 structure, params, (trial % 11,), random.Random(trial)
             )
-            assert (masters.f2 - masters.f1).degree < sum(params.degrees[:3])
+            assert (masters.polys[1] - masters.polys[0]).degree < sum(params.degrees[:3])
 
     def test_exhaustive_over_all_secrets_tiny_fields(self):
         # Small two-level shape with n_1 >= t_2 and a singleton coalition
@@ -184,3 +184,29 @@ class TestShareGate:
         structure, params, shares, masks = self.dealt()
         with pytest.raises(ValueError, match="out of range"):
             yang_attack(structure, params, masks, [shares[3], Share(99, 2, (0,))])
+
+
+class TestTamperDetection:
+    """With surplus weight, a tampered share raises instead of opening a wrong secret."""
+
+    def dealt(self):
+        structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=5)
+        shares, masks = yang_deal(structure, params, (3,), random.Random(2))
+        return structure, params, shares, masks
+
+    @staticmethod
+    def bumped(share):
+        return Share(share.participant, share.level, ((share.coeffs[0] + 1) % 11,))
+
+    def test_reconstruct_detects_tampered_share(self):
+        structure, params, shares, masks = self.dealt()
+        pooled = [shares[0], self.bumped(shares[1]), shares[2]]
+        with pytest.raises(InconsistentSharesError):
+            yang_reconstruct(structure, params, masks, pooled)
+
+    def test_attack_detects_tampered_share(self):
+        structure, params, shares, masks = self.dealt()
+        coalition = [shares[3], self.bumped(shares[4]), shares[5]]
+        with pytest.raises(InconsistentSharesError):
+            yang_attack(structure, params, masks, coalition)
+        assert yang_attack(structure, params, masks, shares[3:6]) == (3,)
