@@ -44,6 +44,16 @@ class AttackNotApplicableError(ValueError):
 class MissingBulletinEntryError(KeyError):
     """No published mask exists for the requested (level, participant)."""
 
+    def __init__(self, key):
+        self.level, self.participant = key
+        super().__init__(key)
+
+    def __str__(self):
+        return (
+            f"bulletin has no published mask for level {self.level}, "
+            f"participant {self.participant}"
+        )
+
 
 class BudgetExceededError(RuntimeError):
     """The enumeration state space exceeds the configured budget."""

@@ -15,7 +15,15 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InsufficientIrreduciblesError, InvalidParametersError
-from .fieldpoly import Poly, is_pairwise_coprime, is_prime, poly_gcd, pow_mod, vectors
+from .fieldpoly import (
+    Poly,
+    _compose_mod,
+    is_pairwise_coprime,
+    is_prime,
+    poly_gcd,
+    pow_mod,
+    vectors,
+)
 from .hashing import TABLE_SEED_LIMIT
 
 MAX_PRIME = 2**64 - 1
@@ -238,10 +246,13 @@ def monic_irreducible_count(p: int, degree: int) -> int:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Irreducibility over F_p via Frobenius powers.
+    """Irreducibility over F_p via Frobenius powers (Ben-Or's test).
 
     f is reducible iff it has an irreducible factor of degree k <= deg(f)/2,
-    which is detected by gcd(x^(p^k) - x, f) != 1.
+    which is detected by gcd(x^(p^k) - x, f) != 1, tried for k = 1, 2, ...
+    so that most reducible candidates exit at k = 1. Only x^p mod f costs a
+    `pow_mod`: Frobenius is F_p-linear, so if u(x) = x^(p^(k-1)) mod f then
+    x^(p^k) = u(x)^p = u(x^p) mod f, a composition of deg f kernel products.
     """
     d = f.degree
     if d < 1:
@@ -250,10 +261,11 @@ def is_irreducible(f: Poly) -> bool:
         return True
     p = f.p
     x = Poly.x_power(p, 1)
-    u = x % f
+    frobenius = pow_mod(x, p, f)
+    u = x
     one = Poly.one(p)
     for _ in range(d // 2):
-        u = pow_mod(u, p, f)
+        u = _compose_mod(u, frobenius, f)
         if poly_gcd(u - x, f) != one:
             return False
     return True
@@ -280,6 +292,18 @@ def _linear_moduli(p: int, count: int, rng: random.Random) -> list[Poly]:
     return [Poly(p, [-a, 1]) for a in chosen]
 
 
+@functools.lru_cache(maxsize=64)
+def _enumerated_irreducibles(p: int, degree: int) -> tuple[Poly, ...]:
+    """Every monic irreducible of this degree over F_p, in index order.
+
+    Only called with p**degree <= _ENUMERATION_CUTOFF, which 40 pairs with
+    degree >= 2 meet, so the cache never evicts; all 40 together hold about
+    1.8 MB.
+    """
+    monics = (Poly(p, low + (1,)) for low in vectors(p, degree))
+    return tuple(f for f in monics if is_irreducible(f))
+
+
 def _higher_degree_moduli(p: int, degree: int, count: int, rng: random.Random) -> list[Poly]:
     available = monic_irreducible_count(p, degree)
     if count > available:
@@ -288,8 +312,7 @@ def _higher_degree_moduli(p: int, degree: int, count: int, rng: random.Random) -
             f"only {available} exist"
         )
     if p**degree <= _ENUMERATION_CUTOFF:
-        monics = (Poly(p, low + (1,)) for low in vectors(p, degree))
-        candidates = [f for f in monics if is_irreducible(f)]
+        candidates = list(_enumerated_irreducibles(p, degree))
         rng.shuffle(candidates)
         return candidates[:count]
     chosen: list[Poly] = []

@@ -197,7 +197,7 @@ class TestDealReconstruct:
         )
         assert code == 2
         assert out == ""
-        assert "error:" in err
+        assert err == "error: bulletin has no published mask for level 1, participant 1\n"
 
     def test_wrong_secret_length_exit_2(self, tmp_path, capsys):
         params_path = gen_reference_params(tmp_path, capsys)

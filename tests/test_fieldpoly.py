@@ -268,6 +268,22 @@ class TestRingAxioms:
         assert (a - b) + b == a
 
 
+@st.composite
+def pow_mod_cases(draw):
+    """(base, exponent, modulus) over p in {2, 3, 13, 2**61 - 1}.
+
+    Moduli have degree 1 to 5 and any nonzero leading coefficient; bases
+    reach two degrees above the modulus.
+    """
+    p = draw(st.sampled_from([2, 3, 13, 2**61 - 1]))
+    coeff = st.integers(0, p - 1)
+    degree = draw(st.integers(1, 5))
+    modulus = Poly(p, draw(st.lists(coeff, min_size=degree, max_size=degree))
+                   + [draw(st.integers(1, p - 1))])
+    base = Poly(p, draw(st.lists(coeff, max_size=degree + 3)))
+    return base, draw(st.integers(0, 12)), modulus
+
+
 class TestPowMod:
     def test_matches_repeated_multiplication(self):
         m = Poly(5, [1, 0, 1])
@@ -276,6 +292,45 @@ class TestPowMod:
         for e in range(8):
             assert pow_mod(f, e, m) == acc
             acc = acc * f % m
+
+    @given(pow_mod_cases())
+    @settings(max_examples=300)
+    def test_equals_repeated_mul_and_mod(self, case):
+        base, exponent, modulus = case
+        expected = Poly.one(base.p) % modulus
+        for _ in range(exponent):
+            expected = expected * base % modulus
+        assert pow_mod(base, exponent, modulus) == expected
+
+    @pytest.mark.parametrize("exponent", [0, 1, 2, 7])
+    def test_non_monic_modulus_and_high_degree_base(self, exponent):
+        p = 13
+        modulus = Poly(p, [3, 0, 5])  # 5x^2 + 3
+        base = Poly(p, [1, 2, 3, 4, 5])
+        expected = Poly.one(p) % modulus
+        for _ in range(exponent):
+            expected = expected * base % modulus
+        assert pow_mod(base, exponent, modulus) == expected
+
+    def test_degree_one_modulus_evaluates_at_root(self):
+        p = 2**61 - 1
+        root = 123456789
+        base = Poly(p, [5, 0, 7])
+        value = (5 + 7 * root * root) % p
+        assert pow_mod(base, 3, Poly(p, [-root, 1])) == Poly(p, [pow(value, 3, p)])
+
+    def test_mixed_fields_raise(self):
+        with pytest.raises(FieldMismatchError):
+            pow_mod(Poly(5, [1, 1]), 3, Poly(7, [1, 0, 1]))
+
+    def test_constant_and_zero_modulus(self):
+        assert pow_mod(Poly(5, [2, 1]), 3, Poly(5, [4])) == Poly.zero(5)
+        with pytest.raises(ZeroDivisionError):
+            pow_mod(Poly(5, [2, 1]), 3, Poly.zero(5))
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            pow_mod(Poly(5, [2, 1]), -1, Poly(5, [1, 0, 1]))
 
 
 class TestIsPrime:

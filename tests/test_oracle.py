@@ -6,7 +6,7 @@ import random
 import pytest
 
 from crtdhss.errors import BudgetExceededError, NoCrtSolutionError
-from crtdhss.fieldpoly import Poly, crt_combine
+from crtdhss.fieldpoly import Poly, crt_combine, vectors
 from crtdhss.oracle import (
     MODE_COALITION,
     MODE_FULL,
@@ -213,13 +213,9 @@ class TestTupleCounts:
                 structure, params, coalition, rng=random.Random(1)
             )
             total = 0
-            for index in range(p**d0):
-                v, secret = index, []
-                for _ in range(d0):
-                    secret.append(v % p)
-                    v //= p
+            for secret in vectors(p, d0):
                 got = count_secret_preimages(
-                    structure, params, coalition, tuple(secret), view=view
+                    structure, params, coalition, secret, view=view
                 )
                 assert got == p**theta
                 total += got

@@ -4,12 +4,13 @@ import itertools
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crtdhss.cli import main
 from crtdhss.errors import InsufficientIrreduciblesError, InvalidParametersError
-from crtdhss.fieldpoly import Poly, is_pairwise_coprime
+from crtdhss.fieldpoly import Poly, is_pairwise_coprime, poly_gcd, vectors
 from crtdhss.fileio import save_bulletin, save_params, save_share
 from crtdhss.hashing import family_from_params
 from crtdhss.params import (
@@ -185,6 +186,41 @@ class TestGenerateModuli:
         assert [m.degree for m in moduli] == [1, 2, 3]
         assert is_pairwise_coprime(moduli)
 
+    # (p, degree profile, seed) -> moduli coefficients and the next
+    # getrandbits(32) of the generator, recorded before the irreducible
+    # search was rewritten: the moduli and the RNG draw order must not move.
+    RECORDED = [
+        ((5, (2, 2, 3), 7), [(1, 4, 1), (2, 1, 1), (4, 0, 3, 1)], 1599435267),
+        ((3, (1, 2, 2, 3), 1), [(1, 1), (2, 1, 1), (1, 0, 1), (1, 1, 2, 1)], 3387541014),
+        ((13, (1, 2, 2), 11), [(10, 1), (4, 12, 1), (7, 10, 1)], 3036610734),
+        ((2, (3, 4, 4), 3), [(1, 0, 1, 1), (1, 0, 0, 1, 1), (1, 1, 0, 0, 1)], 1588945316),
+        ((101, (1, 2, 3), 42), [(58, 1), (27, 72, 1), (82, 58, 18, 1)], 1137651678),
+        (
+            (2**61 - 1, (4, 4, 4), 0),
+            [
+                (227732760937485529, 170038471347814651, 1961059127498785820,
+                 761382955877241386, 1),
+                (1290842471401412695, 815787256865852916, 729099949088039586,
+                 1476715823205914297, 1),
+                (471493580871636924, 1274032851996869569, 1020781383185682438,
+                 1202159644764861342, 1),
+            ],
+            1118805955,
+        ),
+        ((2147483647, (2, 3), 5),
+         [(1592975436, 769949150, 1), (243107963, 798420159, 1007318097, 1)], 3729944832),
+    ]
+
+    @pytest.mark.parametrize("case, coeffs, next_draw", RECORDED)
+    def test_recorded_outputs(self, case, coeffs, next_draw):
+        # The first four cases enumerate (p**degree <= 4096), the rest sample;
+        # each runs twice so the second call meets a warm irreducible cache.
+        p, profile, seed = case
+        for _ in range(2):
+            rng = random.Random(seed)
+            assert [m.coeffs for m in generate_moduli(p, profile, rng)] == coeffs
+            assert rng.getrandbits(32) == next_draw
+
     def test_decreasing_profile_rejected(self):
         with pytest.raises(ValueError):
             generate_moduli(11, [2, 1], random.Random(0))
@@ -194,27 +230,36 @@ class TestIrreducibility:
     def brute_force_reducible(self, f):
         p = f.p
         for d in range(1, f.degree // 2 + 1):
-            for idx in range(p**d):
-                coeffs, v = [], idx
-                for _ in range(d):
-                    coeffs.append(v % p)
-                    v //= p
-                coeffs.append(1)
-                if (f % Poly(p, coeffs)).is_zero:
+            for low in vectors(p, d):
+                if (f % Poly(p, low + (1,))).is_zero:
                     return True
         return False
 
     def test_matches_trial_division_small_fields(self):
         for p in (2, 3, 5):
             for degree in (2, 3, 4):
-                for idx in range(p**degree):
-                    coeffs, v = [], idx
-                    for _ in range(degree):
-                        coeffs.append(v % p)
-                        v //= p
-                    coeffs.append(1)
-                    f = Poly(p, coeffs)
+                for low in vectors(p, degree):
+                    f = Poly(p, low + (1,))
                     assert is_irreducible(f) == (not self.brute_force_reducible(f))
+
+    def test_matches_sympy_over_mersenne_61(self):
+        p = 2**61 - 1
+        rng = random.Random(2024)
+        verdicts = []
+        for _ in range(60):
+            degree = rng.randint(2, 6)
+            coeffs = [rng.randrange(p) for _ in range(degree)] + [1]
+            expected = sympy.Poly(coeffs[::-1], sympy.Symbol("x"), modulus=p).is_irreducible
+            assert is_irreducible(Poly(p, coeffs)) == expected
+            verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
+    def test_reducible_without_linear_factor(self):
+        # (x^2 + 1)(x^2 + x + 2) over F_3: both factors are irreducible
+        # quadratics, so only the second Frobenius power exposes it.
+        f = Poly(3, [1, 0, 1]) * Poly(3, [2, 1, 1])
+        assert not is_irreducible(f)
+        assert poly_gcd(f, Poly(3, [0, 1])) == Poly.one(3)
 
     def test_counts_match_formula(self):
         for p, degree, expected in [(2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 3), (3, 3, 8), (5, 2, 10)]:
