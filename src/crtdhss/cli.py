@@ -208,7 +208,7 @@ def cmd_analyze(args) -> int:
         )
     tuples_total = count_consistent_tuples(structure, params, coalition, budget=budget, view=view)
 
-    histogram = enumerate_consistent(view, budget, workers=args.workers)
+    histogram = enumerate_consistent(view, budget)
     hist_payload = {
         " ".join(str(c) for c in secret): count for secret, count in sorted(histogram.items())
     }
@@ -296,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--coalition", required=True, help="participant indices, e.g. 4,5")
     ana.add_argument("--mode", choices=("coalition", "full"), default="coalition")
     ana.add_argument("--budget", type=int, default=EnumerationBudget().max_states)
-    ana.add_argument("--workers", type=int, default=1)
+    ana.add_argument(
+        "--workers", type=int, default=1, help="accepted for old command lines; has no effect"
+    )
     ana.add_argument("--report", default=None, help="report file (stdout when omitted)")
     _add_seed_flags(ana)
     ana.set_defaults(func=cmd_analyze)

@@ -284,14 +284,12 @@ def inverse_mod(a: Poly, m: Poly) -> Poly:
     return u % m
 
 
-def vectors(p: int, length: int, high: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """Every vector of F_p**length ending in `high`, in index order.
+def vectors(p: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Every vector of F_p**length in index order.
 
-    The k-th vector of F_p**length is the base-p digits of k, low digit
-    first; fixing the highest-order digits to `high` picks one block of them.
+    The k-th vector of F_p**length is the base-p digits of k, low digit first.
     """
-    ranges = [(d,) for d in reversed(high)] + [range(p)] * (length - len(high))
-    for digits in itertools.product(*ranges):
+    for digits in itertools.product(range(p), repeat=length):
         yield digits[::-1]
 
 

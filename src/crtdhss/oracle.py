@@ -6,8 +6,11 @@ remain consistent with it, and how are they distributed over candidate
 secrets? Two complementary enumerations are implemented:
 
 - `enumerate_consistent` walks the dealer's randomness (secret, blinding
-  polynomials, random share vectors) and keeps the states that reproduce
-  the observed view, yielding a histogram over secrets.
+  polynomials, random share vectors) in one serial loop and keeps the
+  states that reproduce the observed view, yielding a histogram over
+  secrets. Each residue check is affine in the state's digits, so it is a
+  dot product with rows of x**j mod m_i built once per view; only the
+  hash is evaluated per state, memoized on its input.
 - `count_consistent_tuples` / `count_secret_preimages` walk candidate
   master-polynomial tuples directly, parameterized by their free
   coefficients, verifying the coalition's algebraic constraints on each.
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, NoCrtSolutionError
@@ -113,6 +116,9 @@ def observe_coalition(
     Returns the view together with the secret that was dealt, so audits can
     compare the histogram against the ground truth.
     """
+    members = frozenset(coalition)
+    for i in sorted(members):
+        structure.level_of(i)  # range check before dealing
     rng = rng if rng is not None else random.Random(0)
     family = family_from_params(params, structure.m)
     vector = (
@@ -125,8 +131,8 @@ def observe_coalition(
         structure=structure,
         params=params,
         family=family,
-        coalition=frozenset(coalition),
-        shares={i: shares[i - 1].coeffs for i in coalition},
+        coalition=members,
+        shares={i: shares[i - 1].coeffs for i in members},
         bulletin=bulletin,
         mode=mode,
     )
@@ -179,124 +185,104 @@ def _mask_targets(view: CoalitionView) -> list[tuple[int, int]]:
     return sorted(k for k in view.bulletin.entries if k[1] in view.coalition)
 
 
-def _count_states(
-    view: CoalitionView, highs: Sequence[tuple[int, ...]]
-) -> dict[tuple[int, ...], int]:
-    """Histogram of consistent dealer states whose highest-order digits are one of `highs`.
+def _residue_rows(view: CoalitionView, level: int, i: int) -> list[tuple[int, ...]]:
+    """Row k: the weight of each state digit in coefficient k of f_level mod m_i.
 
-    `[()]` covers every state.
+    f_level's coefficient j is the secret digit j below d0 and an alpha_level
+    digit above, so column j of the rows is x**j mod m_i, placed at that digit.
     """
-    structure, params, family = view.structure, view.params, view.family
-    p = params.p
-    d0 = params.d0
-    degrees = params.degrees
-    moduli = params.moduli
-    m = structure.m
+    params = view.params
+    p, d0 = params.p, params.d0
+    modulus = params.moduli[i - 1]
+    alpha_lens, _, total_digits = _state_layout(view)
+    start = d0 + sum(alpha_lens[: level - 1])
+    positions = [*range(d0), *range(start, start + alpha_lens[level - 1])]
+    rows = [[0] * total_digits for _ in range(modulus.degree)]
+    for j, pos in enumerate(positions):
+        for k, c in enumerate((Poly.x_power(p, j) % modulus).padded(modulus.degree)):
+            rows[k][pos] = c
+    return [tuple(row) for row in rows]
+
+
+def _mask_target(family: HashFamily, level: int, c_slice: slice, entry: tuple[int, ...]):
+    """digits -> entry + h_level(c_i) mod p, coordinate-wise, memoized on c_i."""
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def target(digits: tuple[int, ...]) -> tuple[int, ...]:
+        c = digits[c_slice]
+        want = memo.get(c)
+        if want is None:
+            hashed = (family.hash_element(level, v) for v in c)
+            want = memo[c] = tuple((e + h) % family.p for e, h in zip(entry, hashed))
+        return want
+
+    return target
+
+
+def _count_states(view: CoalitionView) -> dict[tuple[int, ...], int]:
+    """Histogram over secrets of the dealer states that reproduce the view.
+
+    A state's digits are secret | alpha_1..alpha_m | c_1..c_{N_{m-1}}. The
+    coalition's random members must see their own c_i; every residue check
+    is a dot product of the digits with `_residue_rows`, taken mod p.
+    """
+    params, family = view.params, view.family
+    p, d0, degrees = params.p, params.d0, params.degrees
     alpha_lens, n_random, total_digits = _state_layout(view)
-
-    coalition_random = sorted(i for i in view.coalition if i <= n_random)
-    coalition_bottom = sorted(i for i in view.coalition if i > n_random)
-    observed_random = {i: view.shares[i] for i in coalition_random}
-    observed_bottom = {
-        i: Poly(p, view.shares[i]) % moduli[i - 1] for i in coalition_bottom
-    }
-    mask_targets = _mask_targets(view)
-    observed_masks = {key: view.bulletin.entries[key] for key in mask_targets}
-
-    # digit offsets: secret | alpha_1..alpha_m | c_1..c_{n_random}
-    alpha_offsets = []
-    pos = d0
-    for length in alpha_lens:
-        alpha_offsets.append((pos, length))
-        pos += length
-    c_offsets = {}
+    c_start = d0 + sum(alpha_lens)
+    c_slices = {}
     for i in range(1, n_random + 1):
-        c_offsets[i] = (pos, degrees[i - 1])
-        pos += degrees[i - 1]
-    assert pos == total_digits
+        c_slices[i] = slice(c_start, c_start + degrees[i - 1])
+        c_start += degrees[i - 1]
 
-    states = chain.from_iterable(vectors(p, total_digits, high) for high in highs)
+    coalition = sorted(view.coalition)
+    own_vectors = [(c_slices[i], view.shares[i]) for i in coalition if i <= n_random]
+    # (rows, target(digits)): a bottom member's residue of f_m is its share;
+    # a mask's residue of f_l is its entry plus h_l(c_i), coordinate-wise.
+    checks = [
+        (_residue_rows(view, view.structure.m, i), lambda digits, share=view.shares[i]: share)
+        for i in coalition
+        if i > n_random
+    ]
+    for level, i in _mask_targets(view):
+        entry = view.bulletin.entries[(level, i)]
+        if entry.p != p or entry.degree >= degrees[i - 1]:
+            return {}  # every dealt entry is reduced mod m_i over F_p
+        target = _mask_target(family, level, c_slices[i], entry.padded(degrees[i - 1]))
+        checks.append((_residue_rows(view, level, i), target))
+
+    def consistent(digits: tuple[int, ...]) -> bool:
+        for c_slice, share in own_vectors:
+            if digits[c_slice] != share:
+                return False
+        for rows, target in checks:
+            for row, want in zip(rows, target(digits)):
+                if sum(map(mul, row, digits)) % p != want:
+                    return False
+        return True
+
     histogram: dict[tuple[int, ...], int] = {}
-    for digits in states:
-        secret = digits[:d0]
-
-        consistent = True
-        for i in coalition_random:
-            off, length = c_offsets[i]
-            if digits[off : off + length] != observed_random[i]:
-                consistent = False
-                break
-        if not consistent:
-            continue
-
-        masters: dict[int, Poly] = {}
-
-        def master(level: int) -> Poly:
-            f = masters.get(level)
-            if f is None:
-                off, length = alpha_offsets[level - 1]
-                f = Poly(p, digits[:d0] + digits[off : off + length])
-                masters[level] = f
-            return f
-
-        for i in coalition_bottom:
-            if master(m) % moduli[i - 1] != observed_bottom[i]:
-                consistent = False
-                break
-        if not consistent:
-            continue
-
-        for level, i in mask_targets:
-            off, length = c_offsets[i]
-            masked = family.hash_poly(level, digits[off : off + length])
-            if (master(level) - masked) % moduli[i - 1] != observed_masks[(level, i)]:
-                consistent = False
-                break
-        if not consistent:
-            continue
-
-        histogram[secret] = histogram.get(secret, 0) + 1
+    for digits in vectors(p, total_digits):
+        if consistent(digits):
+            secret = digits[:d0]
+            histogram[secret] = histogram.get(secret, 0) + 1
     return histogram
 
 
 def enumerate_consistent(
     view: CoalitionView,
     budget: EnumerationBudget = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> dict[tuple[int, ...], int]:
     """Exact histogram over secrets of dealer states matching the view.
 
     The enumeration space is every (secret, blinding, random-vector) choice
     the dealer could have made; a state counts when it reproduces the
-    coalition's shares and the masks selected by the view mode. Disjoint
-    blocks of states merge to the identical histogram, so `workers > 1` only
-    changes wall time.
+    coalition's shares and the masks selected by the view mode. One serial
+    walk checks each state against residue rows built once per view.
     """
     budget.check(state_count(view))
-    p, d0 = view.params.p, view.params.d0
-    if workers <= 1:
-        histogram = _count_states(view, [()])
-    else:
-        # Imported here: the process-pool machinery adds about 2 MB to the
-        # resident size of every process that loads this module.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Each worker gets a run of values of the highest-order digits and
-        # walks only the states below them. Fixing enough digits for at
-        # least 8 runs per worker keeps the shares within about 1/8 of even.
-        _, _, total_digits = _state_layout(view)
-        fixed = 0
-        while fixed < total_digits and p**fixed < 8 * workers:
-            fixed += 1
-        highs = list(vectors(p, fixed))
-        share = -(-len(highs) // workers)
-        parts = [highs[lo : lo + share] for lo in range(0, len(highs), share)]
-        histogram = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(_count_states, [view] * len(parts), parts):
-                for secret, count in partial.items():
-                    histogram[secret] = histogram.get(secret, 0) + count
-    return {secret: histogram.get(secret, 0) for secret in vectors(p, d0)}
+    histogram = _count_states(view)
+    return {secret: histogram.get(secret, 0) for secret in vectors(view.params.p, view.params.d0)}
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +434,14 @@ def histogram_entropy_bits(histogram: Mapping[tuple[int, ...], int]) -> float:
     return math.log2(total) - sum(c * math.log2(c) for c in counts) / total
 
 
-def loss_entropy(
-    view: CoalitionView,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> float:
+def loss_entropy(view: CoalitionView, budget: EnumerationBudget = DEFAULT_BUDGET) -> float:
     """Bits the view leaks about the secret: H(S) minus histogram entropy.
 
     Exactly 0.0 in "coalition" mode; nonnegative (up to float rounding) and
     merely *reported* in "full" mode, where the hash table's collision
     structure decides how much the published masks give away.
     """
-    histogram = enumerate_consistent(view, budget, workers=workers)
+    histogram = enumerate_consistent(view, budget)
     p, d0 = view.params.p, view.params.d0
     return math.log2(p**d0) - histogram_entropy_bits(histogram)
 

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from crtdhss.cli import main
-from crtdhss.fieldpoly import Poly, crt_combine, poly_gcd
+from crtdhss.fieldpoly import Poly, crt_combine, poly_gcd, vectors
 from crtdhss.hashing import family_from_params
 from crtdhss.oracle import (
     MODE_COALITION,
@@ -45,20 +45,12 @@ def report(name: str, passed: bool, detail: str = "") -> None:
     assert passed, f"{name}{suffix}"
 
 
-def decode_vector(index: int, p: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(index % p)
-        index //= p
-    return tuple(out)
-
-
 # -- criterion 1 -------------------------------------------------------------
 
 
 def monic_polys(p: int, degree: int):
-    for index in range(p**degree):
-        yield Poly(p, decode_vector(index, p, degree) + (1,))
+    for low in vectors(p, degree):
+        yield Poly(p, low + (1,))
 
 
 def coprime_multisets(p: int, max_total_degree: int):
@@ -97,8 +89,8 @@ def test_criterion_1_crt_oracle_equivalence():
             # A bijection candidates <-> residue tuples proves each system
             # has exactly one low-degree solution.
             mapping = {}
-            for index in range(p**total):
-                candidate = Poly(p, decode_vector(index, p, total))
+            for coeffs in vectors(p, total):
+                candidate = Poly(p, coeffs)
                 key = tuple((candidate % m).coeffs for m in moduli)
                 assert key not in mapping
                 mapping[key] = candidate
@@ -299,8 +291,7 @@ def test_criterion_4_preimage_and_total_counts():
             structure, params, coalition, rng=random.Random(99)
         )
         total = 0
-        for index in range(p**d0):
-            secret = decode_vector(index, p, d0)
+        for secret in vectors(p, d0):
             got = count_secret_preimages(
                 structure, params, coalition, secret, view=view
             )

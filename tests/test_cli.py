@@ -399,6 +399,41 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["loss_entropy_bits"] >= -1e-9
 
+    @pytest.mark.parametrize("coalition", ["99", "0", "2,99"])
+    def test_coalition_out_of_range_exit_2(self, tmp_path, capsys, coalition):
+        # 99 used to escape as an IndexError traceback
+        params_path = self.gen_tiny_params(tmp_path, capsys)
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "--params", str(params_path),
+            "--coalition", coalition,
+            "--seed", "4",
+        )
+        assert code == 2
+        assert out == ""
+        assert "out of range 1..3" in err
+
+    @pytest.mark.parametrize("mode", ["coalition", "full"])
+    def test_workers_flag_has_no_effect(self, tmp_path, capsys, mode):
+        params_path = self.gen_tiny_params(tmp_path, capsys)
+        reports = []
+        for workers in ("1", "2"):
+            report_path = tmp_path / f"report_{workers}.json"
+            code, _, _ = run(
+                capsys,
+                "analyze",
+                "--params", str(params_path),
+                "--coalition", "2",
+                "--mode", mode,
+                "--seed", "4",
+                "--workers", workers,
+                "--report", str(report_path),
+            )
+            assert code == 0
+            reports.append(report_path.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestFileFormats:
     def test_share_and_bulletin_round_trip(self, tmp_path, capsys):

@@ -351,10 +351,3 @@ class TestVectors:
     def test_kth_vector_is_base_p_digits_of_k(self, p, n):
         expected = [tuple(k // p**j % p for j in range(n)) for k in range(p**n)]
         assert list(vectors(p, n)) == expected
-
-    @pytest.mark.parametrize("p, n, fixed", [(3, 2, 0), (3, 3, 1), (2, 4, 2), (5, 2, 2)])
-    def test_blocks_by_high_digits_tile_index_order(self, p, n, fixed):
-        highs = list(vectors(p, fixed))
-        blocks = [list(vectors(p, n, high)) for high in highs]
-        assert all(v[n - fixed :] == high for high, block in zip(highs, blocks) for v in block)
-        assert [v for block in blocks for v in block] == list(vectors(p, n))

@@ -23,6 +23,7 @@ from crtdhss.oracle import (
     state_count,
 )
 from crtdhss.params import AccessStructure, PublicParams, generate_moduli, validate_params
+from crtdhss.scheme import Bulletin, deal
 
 
 def make_setup(p, level_sizes, thresholds, degrees, d0=1, seed=0, table_seed=1):
@@ -113,6 +114,16 @@ class TestCoalitionView:
                 view.bulletin,
             )
 
+    @pytest.mark.parametrize("outsider", [0, 5, 99])
+    def test_member_out_of_range_rejected_before_dealing(self, outsider):
+        # 99 used to raise IndexError; 0 used to deal and take the last share
+        structure, params = theta_one_setup()
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"participant index {outsider} out of range"):
+            observe_coalition(structure, params, {3, outsider}, rng=rng)
+        assert rng.getstate() == state
+
     def test_share_outside_field_rejected(self):
         structure, params = theta_one_setup()
         view, _ = observe_coalition(structure, params, {3})
@@ -155,13 +166,6 @@ class TestEnumerateConsistent:
             enumerate_consistent(view, EnumerationBudget(10))
         assert err.value.state_count == 81
 
-    def test_worker_partitioning_is_lossless(self):
-        structure, params = tiny_state_setup()
-        view, _ = observe_coalition(structure, params, {2}, rng=random.Random(3))
-        serial = enumerate_consistent(view)
-        assert serial == enumerate_consistent(view, workers=2)
-        assert serial == enumerate_consistent(view, workers=3)
-
     def test_upper_level_coalition_member_constraints(self):
         # participant 1 sits in the top level, so its own masks constrain
         # the enumeration; participant 3 contributes a bottom-level residue
@@ -188,6 +192,115 @@ class TestEnumerateConsistent:
         narrow = enumerate_consistent(full_view)
         assert all(narrow[s] <= wide[s] for s in wide)
         assert sum(narrow.values()) >= 1  # the true dealer state always matches
+
+
+class ScriptedRng:
+    """Stands in for the dealer's RNG: `randrange` hands out fixed digits in order."""
+
+    def __init__(self, digits):
+        self.digits = tuple(digits)
+        self.drawn = 0
+
+    def randrange(self, stop):
+        digit = self.digits[self.drawn]
+        assert 0 <= digit < stop
+        self.drawn += 1
+        return digit
+
+
+def replay_histograms(views):
+    """Per view of one setup: the (secret, draws) pairs whose real deal reproduces it.
+
+    Every secret and every sequence of the dealer's `randrange` draws is fed
+    through `scheme.deal`; a pair counts for a view when the dealt shares of
+    its coalition and the bulletin entries its mode selects equal the view's.
+    """
+    structure, params, family = views[0].structure, views[0].params, views[0].family
+    p, d0 = params.p, params.d0
+    probe = ScriptedRng([0] * 100)
+    deal(structure, params, family, (0,) * d0, probe)
+    draws = probe.drawn
+    selections = []
+    for view in views:
+        assert (view.structure, view.params, view.family) == (structure, params, family)
+        assert state_count(view) == p ** (d0 + draws)
+        keys = [k for k in view.bulletin.entries if view.mode == MODE_FULL or k[1] in view.coalition]
+        selections.append(keys)
+    histograms = [dict.fromkeys(vectors(p, d0), 0) for _ in views]
+    for secret in vectors(p, d0):
+        for digits in vectors(p, draws):
+            rng = ScriptedRng(digits)
+            shares, bulletin = deal(structure, params, family, secret, rng)
+            assert rng.drawn == draws
+            for view, keys, histogram in zip(views, selections, histograms):
+                if all(shares[i - 1].coeffs == view.shares[i] for i in view.coalition) and all(
+                    bulletin.entries[k] == view.bulletin.entries[k] for k in keys
+                ):
+                    histogram[secret] += 1
+    return histograms
+
+
+def with_entry(view, key, entry):
+    """The view with one bulletin entry replaced."""
+    entries = dict(view.bulletin.entries)
+    entries[key] = entry
+    return CoalitionView(
+        view.structure, view.params, view.family, view.coalition, view.shares,
+        Bulletin(entries), view.mode,
+    )
+
+
+class TestDealerReplay:
+    """`enumerate_consistent` against replaying the real dealer on every state."""
+
+    def check(self, views):
+        expected = replay_histograms(views)
+        for view, histogram in zip(views, expected):
+            assert enumerate_consistent(view) == histogram, (view.coalition, view.mode)
+        return expected
+
+    def test_tiny_setup_both_modes(self):
+        # 81 states; entry (2, 1) of degree 1 >= d_1 = 1 is never dealt
+        structure, params = tiny_state_setup()
+        views = [
+            observe_coalition(structure, params, coalition, mode=mode, rng=random.Random(9))[0]
+            for coalition, mode in [
+                ({2}, MODE_COALITION),
+                ({2}, MODE_FULL),
+                ({3}, MODE_FULL),
+                (set(), MODE_COALITION),
+                (set(), MODE_FULL),
+            ]
+        ]
+        views.append(with_entry(views[1], (2, 1), Poly(3, [1, 1])))
+        expected = self.check(views)
+        assert sum(expected[1].values()) >= 1
+        assert set(expected[-1].values()) == {0}
+
+    def test_two_coefficient_secret(self):
+        # d0 = 2 over F_3: 729 states
+        structure, params = make_setup(3, (1, 2), (1, 2), [2, 2, 2], d0=2)
+        views = [
+            observe_coalition(structure, params, coalition, mode=mode, rng=random.Random(2))[0]
+            for coalition, mode in [({3}, MODE_COALITION), ({3}, MODE_FULL), (set(), MODE_FULL)]
+        ]
+        self.check(views)
+
+    def test_member_above_the_bottom_level(self):
+        # participant 1 sits in level 1 of (2,3)/(2,3), so its own random
+        # vector and both its masks constrain the walk: 59,049 states
+        structure = AccessStructure((2, 3), (2, 3))
+        moduli = [Poly(3, c) for c in ([1, 1], [1, 0, 1], [2, 1, 1], [2, 2, 1], [1, 1, 1])]
+        params = PublicParams(3, 1, moduli, hash_backend="table", table_seed=1)
+        assert validate_params(structure, params).ok
+        views = [
+            observe_coalition(structure, params, coalition, mode=mode, rng=random.Random(1))[0]
+            for coalition, mode in [({1}, MODE_COALITION), ({1, 3}, MODE_FULL), ({2, 4}, MODE_FULL)]
+        ]
+        views.append(with_entry(views[0], (1, 1), Poly(3, [0, 2])))
+        expected = self.check(views)
+        assert all(sum(h.values()) >= 1 for h in expected[:3])
+        assert set(expected[-1].values()) == {0}
 
 
 class TestTupleCounts:
