@@ -5,12 +5,13 @@ unauthorized coalition's view of a transcript, how many dealer choices
 remain consistent with it, and how are they distributed over candidate
 secrets? Two complementary enumerations are implemented:
 
-- `enumerate_consistent` walks the dealer's randomness (secret, blinding
-  polynomials, random share vectors) in one serial loop and keeps the
-  states that reproduce the observed view, yielding a histogram over
-  secrets. Each residue check is affine in the state's digits, so it is a
-  dot product with rows of x**j mod m_i built once per view; only the
-  hash is evaluated per state, memoized on its input.
+- `enumerate_consistent` counts the dealer's randomness (secret, blinding
+  polynomials, random share vectors) that reproduces the observed view,
+  yielding a histogram over secrets. It walks (secret, blindings) only:
+  each residue check is affine in those digits, a dot product with rows of
+  x**j mod m_i built once per view. A random vector outside the coalition
+  meets the view only through its hashes, one coefficient at a time, so it
+  is not walked but weighed by the number of its hash preimages.
 - `count_consistent_tuples` / `count_secret_preimages` walk candidate
   master-polynomial tuples directly, parameterized by their free
   coefficients, verifying the coalition's algebraic constraints on each.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 from typing import Mapping, Optional, Sequence
@@ -179,93 +181,87 @@ def state_count(view: CoalitionView) -> int:
     return view.params.p**total_digits
 
 
-def _mask_targets(view: CoalitionView) -> list[tuple[int, int]]:
-    if view.mode == MODE_FULL:
-        return sorted(view.bulletin.entries)
-    return sorted(k for k in view.bulletin.entries if k[1] in view.coalition)
-
-
 def _residue_rows(view: CoalitionView, level: int, i: int) -> list[tuple[int, ...]]:
-    """Row k: the weight of each state digit in coefficient k of f_level mod m_i.
+    """Row k: the weight of each outer digit in coefficient k of f_level mod m_i.
 
-    f_level's coefficient j is the secret digit j below d0 and an alpha_level
-    digit above, so column j of the rows is x**j mod m_i, placed at that digit.
+    The outer digits are secret | alpha_1..alpha_m. f_level's coefficient j
+    is the secret digit j below d0 and an alpha_level digit above, so column
+    j of the rows is x**j mod m_i, placed at that digit.
     """
     params = view.params
     p, d0 = params.p, params.d0
     modulus = params.moduli[i - 1]
-    alpha_lens, _, total_digits = _state_layout(view)
+    alpha_lens, _, _ = _state_layout(view)
     start = d0 + sum(alpha_lens[: level - 1])
     positions = [*range(d0), *range(start, start + alpha_lens[level - 1])]
-    rows = [[0] * total_digits for _ in range(modulus.degree)]
+    rows = [[0] * (d0 + sum(alpha_lens)) for _ in range(modulus.degree)]
     for j, pos in enumerate(positions):
         for k, c in enumerate((Poly.x_power(p, j) % modulus).padded(modulus.degree)):
             rows[k][pos] = c
     return [tuple(row) for row in rows]
 
 
-def _mask_target(family: HashFamily, level: int, c_slice: slice, entry: tuple[int, ...]):
-    """digits -> entry + h_level(c_i) mod p, coordinate-wise, memoized on c_i."""
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def target(digits: tuple[int, ...]) -> tuple[int, ...]:
-        c = digits[c_slice]
-        want = memo.get(c)
-        if want is None:
-            hashed = (family.hash_element(level, v) for v in c)
-            want = memo[c] = tuple((e + h) % family.p for e, h in zip(entry, hashed))
-        return want
-
-    return target
-
-
 def _count_states(view: CoalitionView) -> dict[tuple[int, ...], int]:
     """Histogram over secrets of the dealer states that reproduce the view.
 
-    A state's digits are secret | alpha_1..alpha_m | c_1..c_{N_{m-1}}. The
-    coalition's random members must see their own c_i; every residue check
-    is a dot product of the digits with `_residue_rows`, taken mod p.
+    Walks the outer digits secret | alpha_1..alpha_m only. A mask (level, i)
+    reads coefficient k of f_level mod m_i as r_k = entry_k + h_level(c_ik)
+    mod p. A coalition member's c_i is its share, so its masks, like a
+    bottom member's share, are fixed targets for the rows' dot products. The
+    c_i of a random participant outside the coalition is free: each of its
+    coefficients admits |{v : h_l(v) = r_lk - entry_lk mod p for each
+    selected level l}| values, and the state counts with the product of
+    those weights (p per coefficient when no level is selected).
     """
-    params, family = view.params, view.family
+    params, family, entries = view.params, view.family, view.bulletin.entries
     p, d0, degrees = params.p, params.d0, params.degrees
-    alpha_lens, n_random, total_digits = _state_layout(view)
-    c_start = d0 + sum(alpha_lens)
-    c_slices = {}
-    for i in range(1, n_random + 1):
-        c_slices[i] = slice(c_start, c_start + degrees[i - 1])
-        c_start += degrees[i - 1]
+    alpha_lens, n_random, _ = _state_layout(view)
 
-    coalition = sorted(view.coalition)
-    own_vectors = [(c_slices[i], view.shares[i]) for i in coalition if i <= n_random]
-    # (rows, target(digits)): a bottom member's residue of f_m is its share;
-    # a mask's residue of f_l is its entry plus h_l(c_i), coordinate-wise.
-    checks = [
-        (_residue_rows(view, view.structure.m, i), lambda digits, share=view.shares[i]: share)
-        for i in coalition
-        if i > n_random
-    ]
-    for level, i in _mask_targets(view):
-        entry = view.bulletin.entries[(level, i)]
-        if entry.p != p or entry.degree >= degrees[i - 1]:
-            return {}  # every dealt entry is reduced mod m_i over F_p
-        target = _mask_target(family, level, c_slices[i], entry.padded(degrees[i - 1]))
-        checks.append((_residue_rows(view, level, i), target))
+    levels: dict[int, list[int]] = {i: [] for i in range(1, n_random + 1)}
+    for level, i in sorted(entries):
+        if view.mode == MODE_FULL or i in view.coalition:
+            if entries[(level, i)].p != p or entries[(level, i)].degree >= degrees[i - 1]:
+                return {}  # every dealt entry is reduced mod m_i over F_p
+            levels[i].append(level)
 
-    def consistent(digits: tuple[int, ...]) -> bool:
-        for c_slice, share in own_vectors:
-            if digits[c_slice] != share:
-                return False
-        for rows, target in checks:
-            for row, want in zip(rows, target(digits)):
-                if sum(map(mul, row, digits)) % p != want:
-                    return False
-        return True
+    # (row, want): a bottom member's residue of f_m is its share; a coalition
+    # mask's residue of f_l is its entry plus h_l(share), coordinate-wise.
+    checks = []
+    for i in sorted(view.coalition):
+        if i > n_random:
+            checks += zip(_residue_rows(view, view.structure.m, i), view.shares[i])
+    # (terms, counts) per free coefficient k: terms pair row k of each selected
+    # level with entry coordinate k; counts maps the levels' hash tuple of v to
+    # the number of v in F_p producing it.
+    free = []
+    for i, selected in levels.items():
+        rows = [_residue_rows(view, level, i) for level in selected]
+        padded = [entries[(level, i)].padded(degrees[i - 1]) for level in selected]
+        if i in view.coalition:
+            for level, level_rows, entry in zip(selected, rows, padded):
+                hashed = (family.hash_element(level, c) for c in view.shares[i])
+                checks += zip(level_rows, [(e + h) % p for e, h in zip(entry, hashed)])
+            continue
+        counts = Counter(
+            tuple(family.hash_element(level, v) for level in selected) for v in range(p)
+        )
+        for k in range(degrees[i - 1]):
+            free.append(([(r[k], e[k]) for r, e in zip(rows, padded)], counts))
 
     histogram: dict[tuple[int, ...], int] = {}
-    for digits in vectors(p, total_digits):
-        if consistent(digits):
-            secret = digits[:d0]
-            histogram[secret] = histogram.get(secret, 0) + 1
+    for digits in vectors(p, d0 + sum(alpha_lens)):
+        for row, want in checks:
+            if sum(map(mul, row, digits)) % p != want:
+                break
+        else:
+            weight = 1
+            for terms, counts in free:
+                weight *= counts[tuple((sum(map(mul, row, digits)) - e) % p for row, e in terms)]
+                if not weight:
+                    break
+            if weight:
+                secret = digits[:d0]
+                histogram[secret] = histogram.get(secret, 0) + weight
     return histogram
 
 
@@ -277,8 +273,10 @@ def enumerate_consistent(
 
     The enumeration space is every (secret, blinding, random-vector) choice
     the dealer could have made; a state counts when it reproduces the
-    coalition's shares and the masks selected by the view mode. One serial
-    walk checks each state against residue rows built once per view.
+    coalition's shares and the masks selected by the view mode. The budget
+    bounds that space, `state_count(view)`; the walk itself visits only the
+    p**(d0 + sum of blinding lengths) (secret, blinding) choices and weighs
+    each by its number of matching random vectors.
     """
     budget.check(state_count(view))
     histogram = _count_states(view)
@@ -302,7 +300,7 @@ def _coalition_residues(view: CoalitionView) -> dict[tuple[int, int], Poly]:
     return residues
 
 
-def _scan_fiber(view: CoalitionView, secret: tuple[int, ...], seen: set) -> int:
+def _scan_fiber(view: CoalitionView, secret: tuple[int, ...]) -> int:
     """Count consistent master tuples whose bottom poly opens to `secret`.
 
     Tuples are generated from the free coefficients left by the coalition's
@@ -311,7 +309,6 @@ def _scan_fiber(view: CoalitionView, secret: tuple[int, ...], seen: set) -> int:
     """
     structure, params = view.structure, view.params
     p = params.p
-    d0 = params.d0
     degrees = params.degrees
     m = structure.m
     x_d0 = params.secret_modulus
@@ -335,7 +332,7 @@ def _scan_fiber(view: CoalitionView, secret: tuple[int, ...], seen: set) -> int:
         free_lens.append(max(0, degree_cap - step.degree))
         bounds.append(degree_cap)
 
-    count = 0
+    seen = set()
     for digits in vectors(p, sum(free_lens)):
         tuple_polys = []
         pos = 0
@@ -358,8 +355,7 @@ def _scan_fiber(view: CoalitionView, secret: tuple[int, ...], seen: set) -> int:
             if key in seen:
                 raise AssertionError("free-coefficient parameterization collided")
             seen.add(key)
-            count += 1
-    return count
+    return len(seen)
 
 
 def _checked_view(
@@ -397,7 +393,7 @@ def count_secret_preimages(
     view = _checked_view(structure, params, coalition, view)
     exponent = preimage_exponent(structure, params, coalition)
     budget.check(params.p**exponent)
-    return _scan_fiber(view, vector, set())
+    return _scan_fiber(view, vector)
 
 
 def count_consistent_tuples(
@@ -411,11 +407,7 @@ def count_consistent_tuples(
     view = _checked_view(structure, params, coalition, view)
     exponent = preimage_exponent(structure, params, coalition)
     budget.check(params.p ** (exponent + params.d0))
-    seen: set = set()
-    total = 0
-    for secret in vectors(params.p, params.d0):
-        total += _scan_fiber(view, secret, seen)
-    return total
+    return sum(_scan_fiber(view, secret) for secret in vectors(params.p, params.d0))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +434,8 @@ def loss_entropy(view: CoalitionView, budget: EnumerationBudget = DEFAULT_BUDGET
     structure decides how much the published masks give away.
     """
     histogram = enumerate_consistent(view, budget)
+    if not any(histogram.values()):
+        raise ValueError("no dealer state reproduces this view")
     p, d0 = view.params.p, view.params.d0
     return math.log2(p**d0) - histogram_entropy_bits(histogram)
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from crtdhss.cli import main
+from crtdhss.cli import build_parser, main
 from crtdhss.fileio import load_bulletin, load_params, load_share, save_share
+from crtdhss.oracle import DEFAULT_BUDGET
 from crtdhss.scheme import Share
 
 
@@ -433,6 +434,70 @@ class TestAnalyze:
             assert code == 0
             reports.append(report_path.read_bytes())
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("mode", ["coalition", "full"])
+    def test_budget_checks_tuples_before_dealer_states(self, tmp_path, capsys, mode):
+        # each secret's fiber holds 1 tuple and all three hold 3; the
+        # dealer space holds 81 states
+        params_path = self.gen_tiny_params(tmp_path, capsys)
+        for budget, needs in [("1", 3), ("2", 3), ("3", 81), ("10", 81), ("81", None)]:
+            code, out, err = run(
+                capsys,
+                "analyze",
+                "--params", str(params_path),
+                "--coalition", "2",
+                "--mode", mode,
+                "--seed", "4",
+                "--budget", budget,
+            )
+            if needs is None:
+                assert code == 0
+                assert json.loads(out)["dealer_states"] == 81
+            else:
+                assert code == 7
+                assert out == ""
+                assert err == f"error: enumeration needs {needs} states, budget allows {budget}\n"
+
+    def test_successive_calls_do_not_leak_arguments(self, tmp_path, capsys):
+        params_path = self.gen_tiny_params(tmp_path, capsys)
+        analyze = ["analyze", "--params", str(params_path), "--coalition", "2"]
+        assert run(capsys, *analyze, "--mode", "full", "--seed", "4", "--budget", "10")[0] == 7
+        again = tmp_path / "again.json"
+        code, _, _ = run(
+            capsys,
+            "gen-params",
+            "--p", "3", "--levels", "1,2", "--thresholds", "1,2",
+            "--degrees", "1,2,2", "--seed", "1",
+            "--hash-backend", "table", "--table-seed", "2",
+            "--out", str(again),
+        )
+        assert code == 0
+        assert again.read_bytes() == params_path.read_bytes()
+        # default budget and mode again, and no seed carried over
+        code, _, err = run(capsys, *analyze)
+        assert code == 2
+        assert "provide --seed" in err
+        code, out, _ = run(capsys, *analyze, "--seed", "4")
+        assert code == 0
+        assert json.loads(out)["mode"] == "coalition"
+        args = build_parser().parse_args(analyze)
+        assert (args.budget, args.mode, args.seed) == (DEFAULT_BUDGET.max_states, "coalition", None)
+        assert not hasattr(args, "out")
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["gen-params"]])
+    def test_help_and_usage_match_a_fresh_parser(self, capsys, argv):
+        outputs = []
+        for parser in (build_parser.__wrapped__(), build_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out or outputs[0].err
 
 
 class TestFileFormats:

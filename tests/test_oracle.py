@@ -1,7 +1,9 @@
 """Exact-counting audits: preimage counts, histograms, entropy, CRT oracle."""
 
+import itertools
 import math
 import random
+from operator import mul
 
 import pytest
 
@@ -22,7 +24,13 @@ from crtdhss.oracle import (
     preimage_exponent,
     state_count,
 )
-from crtdhss.params import AccessStructure, PublicParams, generate_moduli, validate_params
+from crtdhss.params import (
+    AccessStructure,
+    PublicParams,
+    generate_moduli,
+    is_authorized,
+    validate_params,
+)
 from crtdhss.scheme import Bulletin, deal
 
 
@@ -180,6 +188,17 @@ class TestEnumerateConsistent:
         free = params.degrees[1]  # participant 2 is the only free vector
         assert hist[dealt] == params.p ** (theta + free)
 
+    def test_six_billion_states_without_walking_them(self):
+        # 5**14 dealer states, of which the walk visits the 5**8 (secret,
+        # alpha) choices; three free random vectors weigh 5**6 each
+        structure, params = make_setup(5, (3, 4), (2, 3), [2] * 7, d0=2)
+        view, dealt = observe_coalition(structure, params, {4, 5}, rng=random.Random(1))
+        assert state_count(view) == 5**14
+        hist = enumerate_consistent(view, EnumerationBudget(5**14))
+        theta = preimage_exponent(structure, params, {4, 5})
+        assert set(hist.values()) == {5 ** (theta + 6)}
+        assert len(hist) == 25 and dealt in hist
+
     def test_full_mode_only_narrows_the_histogram(self):
         structure, params = tiny_state_setup()
         coalition_view, _ = observe_coalition(
@@ -303,6 +322,121 @@ class TestDealerReplay:
         assert set(expected[-1].values()) == {0}
 
 
+def reference_histogram(view):
+    """Histogram over secrets from walking every one of the view's dealer states.
+
+    A state's digits are secret | alpha_1..alpha_m | c_1..c_{N_{m-1}}. The
+    coalition's random members must see their own c_i; a bottom member's
+    residue of f_m must be its share; a selected mask (level, i) must equal
+    f_level mod m_i minus h_level(c_i), coordinate-wise. Each residue of
+    f_level is a dot product of the digits with rows of x**j mod m_i.
+    """
+    structure, params, family = view.structure, view.params, view.family
+    p, d0, degrees, m = params.p, params.d0, params.degrees, structure.m
+    n_random = structure.prefix_counts[m - 2] if m > 1 else 0
+    alpha_lens = [sum(degrees[:t]) - d0 for t in structure.thresholds]
+    c_start = d0 + sum(alpha_lens)
+    total_digits = c_start + sum(degrees[:n_random])
+    assert p**total_digits == state_count(view)
+
+    def residue_rows(level, i):
+        modulus = params.moduli[i - 1]
+        start = d0 + sum(alpha_lens[: level - 1])
+        positions = [*range(d0), *range(start, start + alpha_lens[level - 1])]
+        rows = [[0] * total_digits for _ in range(modulus.degree)]
+        for j, pos in enumerate(positions):
+            for k, c in enumerate((Poly.x_power(p, j) % modulus).padded(modulus.degree)):
+                rows[k][pos] = c
+        return rows
+
+    c_slices = {}
+    for i in range(1, n_random + 1):
+        c_slices[i] = slice(c_start, c_start + degrees[i - 1])
+        c_start += degrees[i - 1]
+    coalition = sorted(view.coalition)
+    own_vectors = [(c_slices[i], view.shares[i]) for i in coalition if i <= n_random]
+    checks = [
+        (residue_rows(m, i), lambda digits, share=view.shares[i]: share)
+        for i in coalition
+        if i > n_random
+    ]
+    for level, i in sorted(view.bulletin.entries):
+        if view.mode != MODE_FULL and i not in view.coalition:
+            continue
+        entry = view.bulletin.entries[(level, i)]
+        if entry.p != p or entry.degree >= degrees[i - 1]:
+            return dict.fromkeys(vectors(p, d0), 0)
+
+        def target(digits, level=level, c_slice=c_slices[i], entry=entry.padded(degrees[i - 1])):
+            hashed = (family.hash_element(level, v) for v in digits[c_slice])
+            return [(e + h) % p for e, h in zip(entry, hashed)]
+
+        checks.append((residue_rows(level, i), target))
+
+    histogram = dict.fromkeys(vectors(p, d0), 0)
+    for digits in vectors(p, total_digits):
+        if all(digits[c_slice] == share for c_slice, share in own_vectors) and all(
+            sum(map(mul, row, digits)) % p == want
+            for rows, target in checks
+            for row, want in zip(rows, target(digits))
+        ):
+            histogram[digits[:d0]] += 1
+    return histogram
+
+
+# (p, level sizes, thresholds, degrees, d0) for the reference sweep; a view
+# is walked when its dealer space has at most REFERENCE_STATE_CAP states.
+REFERENCE_SETUPS = [
+    *[(p, (1, 2), (1, 2), [1, 2, 2], 1) for p in (3, 5, 7, 11, 13)],
+    (3, (2, 2), (1, 2), [1, 2, 2, 2], 1),
+    *[(p, (2, 2), (1, 2), [1, 1, 1, 1], 1) for p in (5, 7, 11, 13)],
+    *[(p, (1, 3), (1, 3), [1, 1, 1, 1], 1) for p in (5, 7, 11)],
+    (7, (2, 3), (1, 3), [1, 1, 1, 1, 1], 1),
+    *[(p, (1, 2), (1, 2), [2, 2, 2], 2) for p in (3, 5)],
+]
+REFERENCE_STATE_CAP = 30_000
+
+
+def reference_views():
+    for p, sizes, thresholds, degrees, d0 in REFERENCE_SETUPS:
+        structure, params = make_setup(p, sizes, thresholds, degrees, d0=d0, table_seed=2)
+        for r in range(structure.n + 1):
+            for coalition in itertools.combinations(range(1, structure.n + 1), r):
+                if is_authorized(structure, coalition):
+                    continue
+                for mode in (MODE_COALITION, MODE_FULL):
+                    view, _ = observe_coalition(
+                        structure, params, coalition, mode=mode, rng=random.Random(4)
+                    )
+                    if state_count(view) <= REFERENCE_STATE_CAP:
+                        yield view
+
+
+class TestReferenceWalk:
+    """`enumerate_consistent` against the walk over every dealer state."""
+
+    def test_histograms_equal_on_every_small_view(self):
+        views = list(reference_views())
+        assert len(views) == 128
+        for view in views:
+            assert enumerate_consistent(view) == reference_histogram(view), (
+                view.params.p, view.structure, view.coalition, view.mode
+            )
+
+    def test_random_members_in_the_coalition(self):
+        # every setup above has threshold 1 at level 1, so no coalition there
+        # holds a random vector; here participants 1 and 2 do (59,049 states),
+        # and seed 2 deals a mask whose entry plus hash reaches p in both views
+        structure = AccessStructure((2, 3), (2, 3))
+        moduli = [Poly(3, c) for c in ([1, 1], [1, 0, 1], [2, 1, 1], [2, 2, 1], [1, 1, 1])]
+        params = PublicParams(3, 1, moduli, hash_backend="table", table_seed=2)
+        assert validate_params(structure, params).ok
+        for coalition, mode in [({2}, MODE_COALITION), ({1, 5}, MODE_FULL)]:
+            rng = random.Random(2)
+            view, _ = observe_coalition(structure, params, coalition, mode=mode, rng=rng)
+            assert enumerate_consistent(view) == reference_histogram(view), (coalition, mode)
+
+
 class TestTupleCounts:
     def test_reference_exponent_one_counts(self):
         structure, params = theta_one_setup()
@@ -376,6 +510,15 @@ class TestLossEntropy:
                 structure, params, {2}, mode=MODE_FULL, rng=random.Random(seed)
             )
             assert loss_entropy(view) >= -1e-9
+
+    def test_view_no_dealer_state_reproduces_is_refused(self):
+        # entry (2, 1) of degree 1 >= d_1 = 1 is never dealt; the view is
+        # still accepted, but it has no entropy to report
+        structure, params = tiny_state_setup()
+        view, _ = observe_coalition(structure, params, {2}, mode=MODE_FULL, rng=random.Random(9))
+        forged = with_entry(view, (2, 1), Poly(3, [1, 1]))
+        with pytest.raises(ValueError, match="no dealer state reproduces this view"):
+            loss_entropy(forged)
 
     def test_histogram_entropy_uniform_case(self):
         assert histogram_entropy_bits({(0,): 4, (1,): 4}) == 1.0
