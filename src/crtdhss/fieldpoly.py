@@ -8,12 +8,17 @@ is the empty tuple and its degree is the sentinel -1.
 Primality of p is *not* re-checked by the arithmetic here; parameter
 construction validates it once (see `params`).
 
-Repeated products modulo one fixed modulus (`pow_mod`, and the Frobenius
-compositions behind `params.is_irreducible`) run on a private kernel,
-`_mulmod`, over plain int lists of exactly deg(modulus) coefficients: it
-builds no `Poly`, checks no field, does not normalize, and reduces each
-output coefficient modulo p once. Callers convert to and from `Poly` once
-per call, so every public function still takes and returns `Poly`.
+The work runs on private kernels over bare coefficient tuples (`_add`,
+`_sub`, `_mul`, `_divmod`, and `_mulmod` for products modulo one fixed
+modulus). A kernel assumes normalized operands of one field, whose p
+its caller passes in (`_divmod` also takes unreduced dividends), checks
+nothing, and reduces lazily: products accumulate unreduced and each output
+coefficient is reduced once. The public layer (`Poly` operators, module
+functions) checks once that all operands share one field, raising
+`FieldMismatchError` otherwise, and wraps kernel results with `_poly`, a
+trusted constructor without the reduction pass and trailing-zero scan of
+`Poly(p, coeffs)`, which stays the only checked entry point. Euclid and the
+CRT (`poly_gcd`, `poly_xgcd`, `_crt_basis`, `crt_combine`) loop on tuples.
 """
 
 from __future__ import annotations
@@ -55,6 +60,68 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _trim(cs: list[int]) -> tuple[int, ...]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _add(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = [(x + y) % p for x, y in zip(a, b)]
+    return tuple(out) + a[len(b):] if len(a) > len(b) else _trim(out)
+
+
+def _sub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a - b in one pass."""
+    out = [(x - y) % p for x, y in zip(a, b)]
+    if len(a) != len(b):
+        return tuple(out) + (a[len(b):] or tuple([-y % p for y in b[len(a):]]))
+    return _trim(out)
+
+
+def _mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _trim([c % p for c in out])
+
+
+def _monic(a: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a scaled to leading coefficient 1 (zero stays zero)."""
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, p)
+    return tuple([c * inv % p for c in a])
+
+
+def _divmod(a: Sequence[int], b: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(a // b, a % b) for nonzero b and any ints a. Only the coefficient that
+    fixes the next quotient term is reduced; the multiples of b are subtracted
+    unreduced, skipping b's zero coefficients (dividing by x**k truncates)."""
+    db = len(b) - 1
+    n = len(a) - db
+    if n <= 0:
+        return (), _trim([c % p for c in a])
+    rem = list(a)
+    inv = pow(b[-1], -1, p)
+    terms = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
+    quot = [0] * n
+    for k in range(n - 1, -1, -1):
+        c = rem[k + db] % p
+        if c:
+            q = c * inv % p
+            quot[k] = q
+            for j, bj in terms:
+                rem[k + j] -= q * bj
+    return _trim(quot), _trim([c % p for c in rem[:db]])
+
+
 class Poly:
     """Immutable polynomial over F_p, normalized ascending coefficient tuple."""
 
@@ -63,16 +130,11 @@ class Poly:
     def __init__(self, p: int, coeffs: Iterable[int] = ()):
         if p < 2:
             raise ValueError("field modulus must be at least 2")
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _trim([c % p for c in coeffs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, p: int) -> "Poly":
@@ -86,8 +148,6 @@ class Poly:
     def x_power(cls, p: int, k: int) -> "Poly":
         """The monomial x**k."""
         return cls(p, (0,) * k + (1,))
-
-    # -- structure -------------------------------------------------------
 
     @property
     def degree(self) -> int:
@@ -106,86 +166,48 @@ class Poly:
             raise ValueError(f"degree {self.degree} does not fit in {length} coefficients")
         return self.coeffs + (0,) * (length - len(self.coeffs))
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: the field check here, the work in the kernels --------
 
-    def _check_field(self, other: "Poly") -> None:
+    def _check_field(self, other: "Poly") -> int:
         if self.p != other.p:
             raise FieldMismatchError(f"mixed fields F_{self.p} and F_{other.p}")
+        return self.p
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_field(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        p = self.p
-        for j, c in enumerate(b):
-            out[j] = (out[j] + c) % p
-        return Poly(p, out)
+        p = self._check_field(other)
+        return _poly(p, _add(self.coeffs, other.coeffs, p))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.p, (-c for c in self.coeffs))
+        return _poly(self.p, tuple([-c % self.p for c in self.coeffs]))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        p = self._check_field(other)
+        return _poly(p, _sub(self.coeffs, other.coeffs, p))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return Poly(self.p, (c * other for c in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_field(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(self.p)
-        p = self.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        return Poly(p, out)
+        p = self._check_field(other)
+        return _poly(p, _mul(self.coeffs, other.coeffs, p))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_field(other)
-        if other.is_zero:
+        p = self._check_field(other)
+        if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        db = other.degree
-        if self.degree < db:
-            return Poly.zero(p), self
-        div = other.coeffs
-        if db == 1:
-            # synthetic division by bx + c: root is -c/b
-            lead_inv = pow(div[1], -1, p)
-            root = -div[0] * lead_inv % p
-            quot = [0] * (len(self.coeffs) - 1)
-            acc = 0
-            for k in range(len(self.coeffs) - 1, 0, -1):
-                acc = (acc * root + self.coeffs[k]) % p
-                quot[k - 1] = acc * lead_inv % p
-            rem = (acc * root + self.coeffs[0]) % p
-            return Poly(p, quot), Poly(p, (rem,))
-        rem = list(self.coeffs)
-        lead_inv = pow(div[-1], -1, p)
-        qlen = len(rem) - db
-        quot = [0] * qlen
-        for k in range(qlen - 1, -1, -1):
-            c = rem[k + db]
-            if c:
-                q = c * lead_inv % p
-                quot[k] = q
-                for j in range(db + 1):
-                    rem[k + j] = (rem[k + j] - q * div[j]) % p
-        return Poly(p, quot), Poly(p, rem[:db])
+        if len(self.coeffs) < len(other.coeffs):
+            return _poly(p, ()), self
+        quot, rem = _divmod(self.coeffs, other.coeffs, p)
+        return _poly(p, quot), _poly(p, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -195,25 +217,16 @@ class Poly:
 
     def monic(self) -> "Poly":
         """Scale so the leading coefficient is 1 (zero stays zero)."""
-        if self.is_zero or self.coeffs[-1] == 1:
-            return self
-        inv = pow(self.coeffs[-1], -1, self.p)
-        return Poly(self.p, (c * inv for c in self.coeffs))
+        return _poly(self.p, _monic(self.coeffs, self.p))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x**k."""
         if self.is_zero:
             return self
-        return Poly(self.p, (0,) * k + self.coeffs)
-
-    # -- protocol ----------------------------------------------------------
+        return _poly(self.p, (0,) * k + self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, Poly) and self.p == other.p and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.p, self.coeffs))
@@ -228,48 +241,44 @@ class Poly:
         return f"Poly({self.p}, {list(self.coeffs)})"
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         terms = []
         for j in range(self.degree, -1, -1):
-            c = self.coeffs[j] if j < len(self.coeffs) else 0
-            if not c:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                xs = "x" if j == 1 else f"x^{j}"
-                terms.append(xs if c == 1 else f"{c}{xs}")
-        return " + ".join(terms)
+            c, xs = self.coeffs[j], "" if j == 0 else "x" if j == 1 else f"x^{j}"
+            if c:
+                terms.append(f"{c}{xs}" if c != 1 or not xs else xs)
+        return " + ".join(terms) or "0"
+
+
+def _poly(p: int, coeffs: tuple[int, ...], _set_p=Poly.p.__set__, _set_c=Poly.coeffs.__set__) -> Poly:
+    """The trusted constructor: wraps a kernel result, already normalized."""
+    f = object.__new__(Poly)
+    _set_p(f, p)
+    _set_c(f, coeffs)
+    return f
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor."""
-    a._check_field(b)
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    p = a._check_field(b)
+    a, b = a.coeffs, b.coeffs
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return _poly(p, _monic(a, p))
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: returns (g, u, v) with u*a + v*b = g and g monic."""
-    a._check_field(b)
+    p = a._check_field(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    p = a.p
-    r0, r1 = a, b
-    s0, s1 = Poly.one(p), Poly.zero(p)
-    t0, t1 = Poly.zero(p), Poly.one(p)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
+    r0, r1, s0, s1, t0, t1 = a.coeffs, b.coeffs, (1,), (), (), (1,)
+    while r1:
+        q, r = _divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead = r0.coeffs[-1]
-    if lead != 1:
-        inv = pow(lead, -1, p)
-        r0, s0, t0 = r0 * inv, s0 * inv, t0 * inv
-    return r0, s0, t0
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
+    inv = pow(r0[-1], -1, p)
+    return tuple(_poly(p, tuple([c * inv % p for c in f])) for f in (r0, s0, t0))
 
 
 def inverse_mod(a: Poly, m: Poly) -> Poly:
@@ -279,59 +288,50 @@ def inverse_mod(a: Poly, m: Poly) -> Poly:
         raise ValueError("modulus must have degree at least 1")
     a = a % m
     g, u, _ = poly_xgcd(a, m)
-    if g != Poly.one(a.p):
+    if g.degree:
         raise NotCoprimeError(f"{a!r} is not invertible modulo {m!r}")
     return u % m
 
 
 def vectors(p: int, length: int) -> Iterator[tuple[int, ...]]:
-    """Every vector of F_p**length in index order.
-
-    The k-th vector of F_p**length is the base-p digits of k, low digit first.
-    """
+    """Every vector of F_p**length in index order: the k-th is k's base-p digits, low first."""
     for digits in itertools.product(range(p), repeat=length):
         yield digits[::-1]
 
 
 def is_pairwise_coprime(polys: Sequence[Poly]) -> bool:
     """True iff the gcd of every pair is a unit. Zero polynomials are rejected."""
-    one = None
-    for f in polys:
-        if f.is_zero:
-            raise ValueError("zero polynomial has no coprimality relation")
-        one = Poly.one(f.p) if one is None else one
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if poly_gcd(polys[i], polys[j]) != one:
+    if any(f.is_zero for f in polys):
+        raise ValueError("zero polynomial has no coprimality relation")
+    for i, f in enumerate(polys):
+        for g in polys[i + 1:]:
+            if poly_gcd(f, g).degree:
                 return False
     return True
 
 
 @functools.lru_cache(maxsize=256)
-def _crt_basis(moduli: tuple[Poly, ...]) -> tuple[Poly, tuple[Poly, ...]]:
-    """(M, (lambda_i * M_i, ...)) for a pairwise-coprime modulus tuple.
+def _crt_basis(moduli: tuple[Poly, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(M, (lambda_i * M_i, ...)) as coefficient tuples, for pairwise-coprime moduli.
 
-    Cached because the basis depends only on the moduli, which repeat across
-    reconstructions and exhaustive sweeps. 256 entries hold every coalition
-    a session reuses, while a process that keeps drawing fresh parameters
-    stays flat in memory: for seven degree-4 moduli over 2^61 - 1 one entry
-    holds about 11 KB of `Poly` objects (3 KB for three, 21 KB for ten), so
-    256 such entries take under 3 MB where 4096 would grow to about 45 MB.
-    """
+    Cached: the moduli repeat across reconstructions and exhaustive sweeps.
+    256 entries hold every coalition a session reuses and stay small when
+    fresh parameters keep coming: over 2^61 - 1 an entry of three degree-4
+    moduli takes about 2.6 KB, of seven 11 KB (2.7 MB for 256), of ten 20 KB."""
     p = moduli[0].p
-    total = Poly.one(p)
+    total = (1,)
     for m in moduli:
-        total = total * m
+        total = _mul(total, m.coeffs, p)
     combiners = []
     for m in moduli:
-        partial = total // m
+        partial = _divmod(total, m.coeffs, p)[0]
         try:
-            lam = inverse_mod(partial, m)
+            lam = inverse_mod(_poly(p, partial), m)
         except NotCoprimeError:
             # M/m_i is invertible modulo m_i exactly when the moduli are
             # pairwise coprime, so failure here is that precondition.
             raise NotPairwiseCoprimeError("moduli are not pairwise coprime") from None
-        combiners.append(lam * partial)
+        combiners.append(_mul(lam.coeffs, partial, p))
     return total, tuple(combiners)
 
 
@@ -339,34 +339,33 @@ def crt_combine(residues: Sequence[Poly], moduli: Sequence[Poly]) -> Poly:
     """Solve y = residues[i] (mod moduli[i]) for all i.
 
     The moduli must be pairwise coprime with degree >= 1 each; the result is
-    the unique solution of degree below sum(deg m_i), assembled as
-    sum(lambda_i * M_i * y_i) mod M with M_i = M / m_i and
-    lambda_i the inverse of M_i modulo m_i.
-    """
+    the unique solution of degree below sum(deg m_i): sum(lambda_i * M_i * y_i),
+    accumulated unreduced, mod M, with M_i = M / m_i and lambda_i its inverse
+    modulo m_i."""
     if len(residues) != len(moduli):
         raise ValueError("residue and modulus counts differ")
     if not moduli:
         raise ValueError("at least one congruence is required")
-    for m in moduli:
-        if m.degree < 1:
-            raise ValueError("every modulus must have degree at least 1")
+    if any(m.degree < 1 for m in moduli):
+        raise ValueError("every modulus must have degree at least 1")
+    p = moduli[0].p
+    for f in (*moduli, *residues):
+        moduli[0]._check_field(f)
     if len(moduli) == 1:
         return residues[0] % moduli[0]
     total, combiners = _crt_basis(tuple(moduli))
-    acc = Poly.zero(moduli[0].p)
+    acc = [0] * (len(total) + max(len(m.coeffs) for m in moduli))
     for r, m, combiner in zip(residues, moduli, combiners):
-        acc = acc + combiner * (r % m)
-    return acc % total
+        ys = r.coeffs if len(r.coeffs) < len(m.coeffs) else _divmod(r.coeffs, m.coeffs, p)[1]
+        for i, y in enumerate(ys):
+            if y:
+                for j, c in enumerate(combiner, i):
+                    acc[j] += y * c
+    return _poly(p, _divmod(acc, total, p)[1])
 
 
 def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    """a * b mod m over F_p, on plain int lists (the private kernel).
-
-    m is monic of degree d >= 1, given as its d + 1 coefficients; a and b
-    hold exactly d coefficients in [0, p), and so does the result. Products
-    accumulate unreduced, each top coefficient is cleared with one multiple
-    of m, and every output coefficient is reduced once.
-    """
+    """a * b mod monic m of degree d >= 1, on lists of exactly d reduced coefficients."""
     d = len(m) - 1
     prod = [0] * (2 * d - 1)
     for i, ai in enumerate(a):
@@ -382,11 +381,7 @@ def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
 
 
 def _kernel_operands(f: Poly, modulus: Poly) -> tuple[list[int], list[int]]:
-    """The monic modulus and f reduced modulo it, as kernel lists.
-
-    A non-monic modulus is scaled by its leading inverse: it generates the
-    same ideal, so every remainder is unchanged.
-    """
+    """The monic modulus (same remainders) and f reduced modulo it, as `_mulmod` lists."""
     return list(modulus.monic().coeffs), list((f % modulus).padded(modulus.degree))
 
 
@@ -398,7 +393,7 @@ def _compose_mod(g: Poly, h: Poly, modulus: Poly) -> Poly:
     for c in reversed(g.coeffs):
         acc = _mulmod(acc, hl, m, p)
         acc[0] = (acc[0] + c) % p
-    return Poly(p, acc)
+    return _poly(p, _trim(acc))
 
 
 def pow_mod(base: Poly, exponent: int, modulus: Poly) -> Poly:
@@ -414,4 +409,4 @@ def pow_mod(base: Poly, exponent: int, modulus: Poly) -> Poly:
         result = _mulmod(result, result, m, p)
         if bit == "1":
             result = _mulmod(result, b, m, p)
-    return Poly(p, result)
+    return _poly(p, _trim(result))

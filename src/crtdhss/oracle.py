@@ -97,6 +97,10 @@ class CoalitionView:
         if set(self.shares) != set(self.coalition):
             raise ValueError("exactly the coalition members' shares are required")
         _check_setup(self.structure, self.params, self.family)
+        bounds = [min(n, _state_layout(self)[1]) for n in self.structure.prefix_counts]
+        for key in self.bulletin.entries:  # a deal publishes (l, i), i <= min(N_l, N_{m-1})
+            if not (0 < key[0] <= len(bounds) and 0 < key[1] <= bounds[key[0] - 1]):
+                raise ValueError(f"bulletin entry {key} is not one a deal publishes")
         _pool_shares(self.structure, self.params, _member_shares(self))
 
 

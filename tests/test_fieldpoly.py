@@ -1,10 +1,13 @@
 """Unit and property tests for the F_p[x] arithmetic core."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_div, gf_gcdex, gf_mul, gf_pow_mod, gf_rem
 
 from crtdhss.errors import (
     FieldMismatchError,
@@ -331,6 +334,194 @@ class TestPowMod:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             pow_mod(Poly(5, [2, 1]), -1, Poly(5, [1, 0, 1]))
+
+
+# -- cross-check against sympy's galoistools ------------------------------
+
+CROSS_PRIMES = (2, 3, 13, 2**31 - 1, 2**61 - 1)
+
+
+def _desc(f):
+    """sympy's dense form: descending coefficients over ZZ."""
+    return [ZZ(c) for c in reversed(f.coeffs)]
+
+
+def _cross_check_pairs():
+    """Seeded (a, b) pairs over each prime, b nonzero, degrees up to 40.
+
+    Besides random divisors of degree 0 to 40, b runs over monic and
+    non-monic linear polynomials and monomials c * x**k, a is sometimes
+    zero, and a third of the pairs share a random common factor (which
+    lifts both degrees by up to 6).
+    """
+    rng = random.Random(1009)
+    pairs = []
+    for p in CROSS_PRIMES:
+        def rand(degree, lead=None):
+            if degree < 0:
+                return Poly(p)
+            lead = rng.randrange(1, p) if lead is None else lead
+            return Poly(p, [rng.randrange(p) for _ in range(degree)] + [lead])
+
+        for k in range(60):
+            a = rand(rng.randint(-1, 40) if k % 10 else -1)
+            kind = k % 5
+            if kind == 0:
+                b = rand(1, lead=1 if k % 2 else None)
+            elif kind == 1:
+                b = Poly.x_power(p, rng.randint(0, 12)) * rng.randrange(1, p)
+            else:
+                b = rand(rng.randint(0, 40))
+            if k % 3 == 0 and not a.is_zero:
+                common = rand(rng.randint(1, 6))
+                a, b = a * common, b * common
+            pairs.append((a, b))
+    return pairs
+
+
+CROSS_PAIRS = _cross_check_pairs()
+
+
+class TestSympyCrossCheck:
+    @pytest.mark.parametrize("p", CROSS_PRIMES)
+    def test_pairs_cover_every_shape(self, p):
+        pairs = [(a, b) for a, b in CROSS_PAIRS if a.p == p]
+        assert any(a.is_zero for a, _ in pairs)
+        assert any(b.degree == 1 and b.coeffs[-1] == 1 for _, b in pairs)
+        assert p == 2 or any(b.degree >= 1 and b.coeffs[-1] != 1 for _, b in pairs)
+        assert any(b.degree >= 2 and b.coeffs[:-1] == (0,) * b.degree for _, b in pairs)
+        assert max(a.degree for a, _ in pairs) >= 40
+
+    def test_product(self):
+        for a, b in CROSS_PAIRS:
+            assert _desc(a * b) == gf_mul(_desc(a), _desc(b), a.p, ZZ)
+
+    def test_division(self):
+        for a, b in CROSS_PAIRS:
+            q, r = gf_div(_desc(a), _desc(b), a.p, ZZ)
+            quot, rem = divmod(a, b)
+            assert (_desc(quot), _desc(rem)) == (q, r)
+            assert _desc(a // b) == q
+            assert _desc(a % b) == r
+
+    def test_gcd_and_cofactors(self):
+        for a, b in CROSS_PAIRS:
+            s, t, h = gf_gcdex(_desc(a), _desc(b), a.p, ZZ)
+            g, u, v = poly_xgcd(a, b)
+            assert (_desc(g), _desc(u), _desc(v)) == (h, s, t)
+            assert _desc(poly_gcd(a, b)) == h
+
+    def test_inverse(self):
+        inverted = 0
+        for a, m in CROSS_PAIRS:
+            if m.degree < 1:
+                continue
+            p = a.p
+            reduced = gf_rem(_desc(a), _desc(m), p, ZZ)
+            s, _, h = gf_gcdex(reduced, _desc(m), p, ZZ)
+            if h == [1]:
+                assert _desc(inverse_mod(a, m)) == gf_rem(s, _desc(m), p, ZZ)
+                inverted += 1
+            else:
+                with pytest.raises(NotCoprimeError):
+                    inverse_mod(a, m)
+        assert inverted >= 100
+
+    def test_pow_mod(self):
+        rng = random.Random(7)
+        for a, m in CROSS_PAIRS:
+            if m.is_zero:
+                continue
+            exponent = rng.choice([0, 1, 2, rng.randrange(3, 100), rng.randrange(m.p**2)])
+            # gf_pow_mod leaves x**0 = 1 unreduced modulo a constant m
+            expected = gf_rem(gf_pow_mod(_desc(a), exponent, _desc(m), a.p, ZZ), _desc(m), a.p, ZZ)
+            assert _desc(pow_mod(a, exponent, m)) == expected
+
+
+# -- the trusted constructor: every result is normalized --------------------
+
+
+def _assert_normalized(f):
+    assert type(f) is Poly and type(f.coeffs) is tuple
+    assert all(type(c) is int and 0 <= c < f.p for c in f.coeffs)
+    assert not f.coeffs or f.coeffs[-1] != 0
+    assert f == Poly(f.p, f.coeffs)
+
+
+@st.composite
+def normalized_cases(draw):
+    """(a, b, k, residues, moduli) over p in {2, 3, 13, 2**61 - 1}.
+
+    b shares a's leading coefficients often enough that sums and
+    differences cancel at the top. The moduli for `crt_combine` are x**j
+    and distinct non-monic linears c * (x - r) with r nonzero.
+    """
+    p = draw(st.sampled_from([2, 3, 13, 2**61 - 1]))
+    coeff = st.integers(0, p - 1)
+    a = Poly(p, draw(st.lists(coeff, max_size=12)))
+    b = Poly(p, draw(st.lists(coeff, max_size=12)))
+    if draw(st.booleans()):
+        b = Poly(p, b.coeffs[:2] + a.coeffs[2:])
+    roots = draw(st.lists(st.integers(1, p - 1), unique=True, max_size=3))
+    moduli = [Poly.x_power(p, draw(st.integers(1, 3)))]
+    moduli += [Poly(p, [-r, 1]) * draw(st.integers(1, p - 1)) for r in roots]
+    residues = [Poly(p, draw(st.lists(coeff, max_size=5))) for _ in moduli]
+    return a, b, draw(st.integers(0, 30)), residues, moduli
+
+
+class TestTrustedResults:
+    @given(normalized_cases())
+    @settings(max_examples=400)
+    def test_every_public_result_is_normalized(self, case):
+        a, b, k, residues, moduli = case
+        results = [a + b, a - b, b - a, a + (-b), a * b, -a, a.monic(), a.shift(k % 4)]
+        results.append(crt_combine(residues, moduli))
+        if not b.is_zero:
+            results += [*divmod(a, b), a // b, a % b, pow_mod(a, k, b)]
+        if not (a.is_zero and b.is_zero):
+            results += [poly_gcd(a, b), *poly_xgcd(a, b)]
+        if b.degree >= 1:
+            try:
+                results.append(inverse_mod(a, b))
+            except NotCoprimeError:
+                pass
+        for f in results:
+            assert f.p == a.p
+            _assert_normalized(f)
+
+    def test_cancellation_leaves_no_trailing_zero(self):
+        a = Poly(13, [1, 2, 3])
+        assert (a - a).coeffs == () and (a + (-a)).coeffs == ()
+        assert (a - Poly(13, [5, 2, 3])).coeffs == (9,)
+        assert (Poly(2, [1, 1]) + Poly(2, [0, 1])).coeffs == (1,)
+
+
+class TestFieldMismatch:
+    a5, m5, n5 = Poly(5, [1, 2]), Poly(5, [1, 0, 1]), Poly(5, [1, 1])
+    a7, m7 = Poly(7, [3, 1]), Poly(7, [1, 0, 1])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: s.a5 + s.a7,
+            lambda s: s.a5 - s.a7,
+            lambda s: s.a5 * s.a7,
+            lambda s: divmod(s.a5, s.a7),
+            lambda s: s.a5 // s.a7,
+            lambda s: s.a5 % s.a7,
+            lambda s: poly_gcd(s.a5, s.a7),
+            lambda s: poly_xgcd(s.a5, s.a7),
+            lambda s: inverse_mod(s.a5, s.m7),
+            lambda s: pow_mod(s.a5, 3, s.m7),
+            lambda s: is_pairwise_coprime([s.m5, s.m7]),
+            lambda s: crt_combine([s.a5, s.a7], [s.m5, s.n5]),
+            lambda s: crt_combine([s.a5, s.a5], [s.m5, s.m7]),
+            lambda s: crt_combine([s.a7], [s.m5]),
+        ],
+    )
+    def test_every_public_entry_refuses_mixed_fields(self, call):
+        with pytest.raises(FieldMismatchError):
+            call(self)
 
 
 class TestIsPrime:

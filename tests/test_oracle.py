@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from operator import mul
 
 import pytest
@@ -140,6 +141,25 @@ class TestCoalitionView:
             CoalitionView(
                 structure, params, view.family, view.coalition, {3: forged}, view.bulletin
             )
+
+    @pytest.mark.parametrize(
+        "mode, key",
+        [(MODE_FULL, (2, 3)), (MODE_COALITION, (2, 3)), (MODE_FULL, (0, 1)), (MODE_COALITION, (0, 1))],
+    )
+    def test_bulletin_key_no_deal_publishes_rejected(self, mode, key):
+        # a deal publishes (l, i) for 1 <= l <= m and i <= min(N_l, N_{m-1}):
+        # here (1, 1) and (2, 1) only; (2, 3) used to reach the walk and
+        # raise KeyError: 3 there
+        structure, params = tiny_state_setup()
+        view, _ = observe_coalition(structure, params, {2}, mode=mode, rng=random.Random(0))
+        with pytest.raises(ValueError, match=re.escape(f"bulletin entry {key} is not one")):
+            with_entry(view, key, Poly(3, [1]))
+
+    def test_impossible_entry_value_still_accepted(self):
+        # values stay unchecked: a published key with an entry no deal makes
+        structure, params = tiny_state_setup()
+        view, _ = observe_coalition(structure, params, {2}, mode=MODE_FULL, rng=random.Random(0))
+        assert with_entry(view, (2, 1), Poly(3, [1, 1])).bulletin.entries[(2, 1)] == Poly(3, [1, 1])
 
 
 class TestEnumerateConsistent:
