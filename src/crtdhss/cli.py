@@ -67,20 +67,22 @@ def _csv_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be a comma-separated integer list") from None
 
 
-def _parse_degrees(text: str) -> tuple[int, ...]:
-    """Degree profile tokens: '1x7' means seven 1s, '1,1,2' is literal."""
+def _parse_degrees(text: str, n: int) -> tuple[int, ...]:
+    """Degree profile of n entries: '1x7' means seven 1s, '1,1,2' is literal."""
     out: list[int] = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if "x" in tok:
-            degree, _, count = tok.partition("x")
-            out.extend([int(degree)] * int(count))
-        else:
-            out.append(int(tok))
-    if not out:
-        raise ValueError("degree profile is empty")
+        degree, sep, count = tok.partition("x")
+        count = int(count) if sep else 1
+        if count < 1:
+            raise ValueError(f"repeat count in degree token {tok!r} must be at least 1")
+        if len(out) + count > n:
+            raise ValueError(f"degree profile has more than {n} entries for {n} participants")
+        out.extend([int(degree)] * count)
+    if len(out) != n:
+        raise ValueError(f"degree profile has {len(out)} entries for {n} participants")
     return tuple(out)
 
 
@@ -113,11 +115,7 @@ def cmd_gen_params(args) -> int:
     structure = AccessStructure(
         _csv_ints(args.levels, "--levels"), _csv_ints(args.thresholds, "--thresholds")
     )
-    degrees = _parse_degrees(args.degrees)
-    if len(degrees) != structure.n:
-        raise ValueError(
-            f"degree profile has {len(degrees)} entries for {structure.n} participants"
-        )
+    degrees = _parse_degrees(args.degrees, structure.n)
     if args.hash_backend == "table" and args.table_seed is None:
         raise ValueError("--hash-backend table requires --table-seed")
     moduli = generate_moduli(args.p, degrees, _rng(args))

@@ -31,7 +31,10 @@ def _write(path: Pathish, payload) -> None:
 
 
 def _read(path: Pathish) -> dict:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     version = data.get("format_version")

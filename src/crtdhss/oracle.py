@@ -12,9 +12,11 @@ secrets? Two complementary enumerations are implemented:
   x**j mod m_i built once per view. A random vector outside the coalition
   meets the view only through its hashes, one coefficient at a time, so it
   is not walked but weighed by the number of its hash preimages.
-- `count_consistent_tuples` / `count_secret_preimages` walk candidate
-  master-polynomial tuples directly, parameterized by their free
-  coefficients, verifying the coalition's algebraic constraints on each.
+- `count_consistent_tuples` / `count_secret_preimages` count candidate
+  master-polynomial tuples, parameterized by their free coefficients,
+  verifying the coalition's algebraic constraints on each. The levels share
+  only the secret, so each level is scanned alone, from congruences the view
+  derives once, and the per-level counts multiply.
 
 The two viewpoints cross-validate each other; both are exact counts, never
 samples. A state budget guards every enumeration up front.
@@ -31,6 +33,7 @@ View modes:
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
@@ -102,6 +105,25 @@ class CoalitionView:
             if not (0 < key[0] <= len(bounds) and 0 < key[1] <= bounds[key[0] - 1]):
                 raise ValueError(f"bulletin entry {key} is not one a deal publishes")
         _pool_shares(self.structure, self.params, _member_shares(self))
+
+    @functools.cached_property
+    def _levels(self) -> tuple[tuple[list[Poly], list[Poly], Poly, int], ...]:
+        """Per level l: the members' moduli, the residues of f_l they pin,
+        the step x**d0 times those moduli, and f_l's degree cap."""
+        params, shares = self.params, _member_shares(self)
+        levels = []
+        for level, (bound, t) in enumerate(
+            zip(self.structure.prefix_counts, self.structure.thresholds), start=1
+        ):
+            pinned = [s for s in shares if s.participant <= bound]
+            mods = [params.moduli[s.participant - 1] for s in pinned]
+            residues = [
+                unmask_share(self.family, self.bulletin, s, level) % mod
+                for s, mod in zip(pinned, mods)
+            ]
+            step = functools.reduce(mul, mods, params.secret_modulus)
+            levels.append((mods, residues, step, sum(params.degrees[:t])))
+        return tuple(levels)
 
 
 def _member_shares(view: CoalitionView) -> list[Share]:
@@ -292,74 +314,34 @@ def enumerate_consistent(
 # ---------------------------------------------------------------------------
 
 
-def _coalition_residues(view: CoalitionView) -> dict[tuple[int, int], Poly]:
-    """The residue of each master polynomial pinned by a coalition member."""
-    moduli, m = view.params.moduli, view.structure.m
-    residues = {}
-    for share in _member_shares(view):
-        i = share.participant
-        for level in range(share.level, m + 1):
-            value = unmask_share(view.family, view.bulletin, share, level)
-            residues[(level, i)] = value % moduli[i - 1]
-    return residues
-
-
 def _scan_fiber(view: CoalitionView, secret: tuple[int, ...]) -> int:
     """Count consistent master tuples whose bottom poly opens to `secret`.
 
-    Tuples are generated from the free coefficients left by the coalition's
-    congruences, then re-verified against every constraint before counting;
-    the parameterization proposes, the conditions dispose.
+    Levels share nothing but the secret, so each f_l is scanned on its own
+    over the free coefficients its congruences leave, and the counts
+    multiply. Every candidate is re-verified against each constraint before
+    it counts; the parameterization proposes, the conditions dispose.
     """
-    structure, params = view.structure, view.params
-    p = params.p
-    degrees = params.degrees
-    m = structure.m
-    x_d0 = params.secret_modulus
-    residues = _coalition_residues(view)
+    p, x_d0 = view.params.p, view.params.secret_modulus
     s_poly = Poly(p, secret)
-
-    bases, steps, free_lens, bounds = [], [], [], []
-    for bound, t in zip(structure.prefix_counts, structure.thresholds):
-        members = [i for i in sorted(view.coalition) if i <= bound]
-        level = len(bases) + 1
-        mods = [x_d0] + [params.moduli[i - 1] for i in members]
-        res = [s_poly] + [residues[(level, i)] for i in members]
-        step = Poly.one(p)
-        for mod in mods:
-            step = step * mod
-        degree_cap = sum(degrees[:t])
-        bases.append(crt_combine(res, mods))
-        steps.append(step)
+    count = 1
+    for mods, residues, step, cap in view._levels:
+        base = crt_combine([s_poly, *residues], [x_d0, *mods])
+        seen = set()
         # A negative free length leaves k = 0 as the only candidate; the
-        # degree-cap check below rejects it when the base does not fit.
-        free_lens.append(max(0, degree_cap - step.degree))
-        bounds.append(degree_cap)
-
-    seen = set()
-    for digits in vectors(p, sum(free_lens)):
-        tuple_polys = []
-        pos = 0
-        for base, step, length in zip(bases, steps, free_lens):
-            k = Poly(p, digits[pos : pos + length])
-            pos += length
-            tuple_polys.append(base + k * step)
-
-        ok = all(g.degree < cap for g, cap in zip(tuple_polys, bounds))
-        if ok:
-            opened = tuple_polys[m - 1] % x_d0
-            ok = all(g % x_d0 == opened for g in tuple_polys) and opened == s_poly % x_d0
-        if ok:
-            for (level, i), res in residues.items():
-                if tuple_polys[level - 1] % params.moduli[i - 1] != res:
-                    ok = False
-                    break
-        if ok:
-            key = tuple(g.coeffs for g in tuple_polys)
-            if key in seen:
-                raise AssertionError("free-coefficient parameterization collided")
-            seen.add(key)
-    return len(seen)
+        # degree-cap check rejects it when the base does not fit.
+        for digits in vectors(p, max(0, cap - step.degree)):
+            g = base + Poly(p, digits) * step
+            if (
+                g.degree < cap
+                and g % x_d0 == s_poly
+                and all(g % mod == r for mod, r in zip(mods, residues))
+            ):
+                if g.coeffs in seen:
+                    raise AssertionError("free-coefficient parameterization collided")
+                seen.add(g.coeffs)
+        count *= len(seen)
+    return count
 
 
 def _checked_view(
@@ -369,8 +351,7 @@ def _checked_view(
     view: Optional[CoalitionView],
 ) -> CoalitionView:
     if view is None:
-        view, _ = observe_coalition(structure, params, coalition)
-        return view
+        return observe_coalition(structure, params, coalition)[0]
     if (
         view.structure != structure
         or view.params != params

@@ -24,7 +24,7 @@ from .fieldpoly import (
     pow_mod,
     vectors,
 )
-from .hashing import TABLE_SEED_LIMIT
+from .hashing import TABLE_FIELD_LIMIT, TABLE_SEED_LIMIT
 
 MAX_PRIME = 2**64 - 1
 
@@ -63,7 +63,7 @@ class AccessStructure:
     def n(self) -> int:
         return sum(self.level_sizes)
 
-    @property
+    @functools.cached_property
     def prefix_counts(self) -> tuple[int, ...]:
         """N_l = number of participants in the first l levels, for l=1..m."""
         out, acc = [], 0
@@ -112,8 +112,10 @@ class PublicParams:
             raise ValueError("table_seed must be given exactly when hash_backend is 'table'")
         if self.table_seed is not None and not 0 <= self.table_seed < TABLE_SEED_LIMIT:
             raise ValueError("table seed must fit in 64 bits")
+        if self.hash_backend == "table" and self.p > TABLE_FIELD_LIMIT:
+            raise ValueError(f"the table hash backend needs p <= {TABLE_FIELD_LIMIT}")
 
-    @property
+    @functools.cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.degree for m in self.moduli)
 

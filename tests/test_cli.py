@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtdhss.cli import build_parser, main
 from crtdhss.fileio import load_bulletin, load_params, load_share, save_share
@@ -80,6 +82,45 @@ class TestGenParams:
         )
         assert code == 2
         assert "64 bits" in err
+        assert not out.exists()
+
+    def test_table_backend_above_field_limit_exit_2_and_no_file(self, tmp_path, capsys):
+        # the file used to be written, then refused by every later command
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys,
+            "gen-params",
+            "--p", str(2**61 - 1), "--levels", "3,4", "--thresholds", "2,3",
+            "--degrees", "1x7", "--seed", "1",
+            "--hash-backend", "table", "--table-seed", "5",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "table hash backend needs p <= 1048576" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "degrees, message",
+        [
+            ("1x0", "must be at least 1"),
+            ("1x-2,1,2,2", "must be at least 1"),
+            ("1x4", "more than 3 entries"),
+            ("1,2x2,2", "more than 3 entries"),
+            ("1,2", "has 2 entries"),
+        ],
+    )
+    def test_bad_degree_profile_exit_2(self, tmp_path, capsys, degrees, message):
+        # levels (1,2) have n = 3 participants; 1x-2,1,2,2 used to exit 0
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys,
+            "gen-params",
+            "--p", "11", "--levels", "1,2", "--thresholds", "1,2",
+            "--degrees", degrees, "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert message in err
         assert not out.exists()
 
     def test_missing_seed_refused_without_optin(self, tmp_path, capsys):
@@ -500,6 +541,44 @@ class TestParser:
         assert outputs[0].out or outputs[0].err
 
 
+def reconstruct_argv(files):
+    """Reconstruct from participants 1 and 2, authorized at level 1."""
+    return (
+        "reconstruct", "--params", str(files["params"]), "--bulletin", str(files["bulletin"]),
+        str(files["share"]), str(files["second share"]),
+    )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def patched(payload):
+    """The payload with up to three of its keys set to arbitrary JSON values."""
+    patch = st.dictionaries(st.sampled_from(sorted(payload)), JSON_VALUES, max_size=3)
+    return patch.map(lambda changes: {**payload, **changes})
+
+
+@pytest.fixture(scope="module")
+def reference_files(tmp_path_factory):
+    """Reference params plus a deal: the files an authorized reconstruct reads."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    params = tmp_path / "params.json"
+    assert main(["gen-params", "--p", "11", "--levels", "3,4", "--thresholds", "2,3",
+                 "--degrees", "1x7", "--seed", "1", "--out", str(params)]) == 0
+    assert main(["deal", "--params", str(params), "--secret", "3", "--seed", "2",
+                 "--out-dir", str(tmp_path / "deal")]) == 0
+    return {
+        "params": params,
+        "bulletin": tmp_path / "deal" / "bulletin.json",
+        "share": tmp_path / "deal" / "share_001.json",
+        "second share": tmp_path / "deal" / "share_002.json",
+    }
+
+
 class TestFileFormats:
     def test_share_and_bulletin_round_trip(self, tmp_path, capsys):
         params_path = gen_reference_params(tmp_path, capsys)
@@ -567,12 +646,58 @@ class TestFileFormats:
             assert code == 2
             assert "error:" in err
 
+    def test_table_backend_above_field_limit_refused_on_load(self, tmp_path, capsys):
+        # what gen-params wrote before it refused such a file itself
+        path = gen_reference_params(tmp_path, capsys, extra=("--p", str(2**61 - 1)))
+        data = json.loads(path.read_text())
+        data.update(hash_backend="table", table_seed=5)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="table hash backend needs p <= 1048576"):
+            load_params(path)
+        code, _, err = run(capsys, "deal", "--params", str(path), "--secret", "3",
+                           "--seed", "2", "--out-dir", str(tmp_path / "d"))
+        assert code == 2
+        assert "table hash backend needs p" in err
+
+    @pytest.mark.parametrize("kind", ["params", "bulletin", "share"])
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys, reference_files, kind):
+        # json.loads raises RecursionError here, which used to escape as a traceback
+        files = dict(reference_files)
+        files[kind] = tmp_path / "deep.json"
+        files[kind].write_text("[" * 100_000)
+        code, _, err = run(capsys, *reconstruct_argv(files))
+        assert code == 2
+        assert "deep.json: JSON nested too deeply" in err
+
     def test_unknown_format_version_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format_version": 99}')
         code, _, _ = run(capsys, "reconstruct", "--params", str(bad),
                          "--bulletin", str(bad), str(bad))
         assert code == 2
+
+
+class TestLoaderFuzz:
+    """Any JSON written as a params, bulletin or share file maps to an exit code."""
+
+    @pytest.mark.parametrize("kind", ["params", "bulletin", "share"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_documented_exit_code_and_no_traceback(self, reference_files, kind, data):
+        payload = json.loads(reference_files[kind].read_text())
+        candidates = [JSON_VALUES, patched(payload)]
+        if kind == "bulletin":
+            record = payload["entries"][0]
+            candidates.append(
+                patched(record).map(
+                    lambda r: {**payload, "entries": [r, *payload["entries"][1:]]}
+                )
+            )
+        value = data.draw(st.one_of(candidates))
+        files = dict(reference_files)
+        files[kind] = reference_files["params"].parent / f"fuzz_{kind}.json"
+        files[kind].write_text(json.dumps(value))
+        assert main(list(reconstruct_argv(files))) in (0, 2, 4, 5)
 
 
 # sha256 of every file the seeded flows in TestGoldenBytes write. Identical

@@ -8,6 +8,7 @@ from operator import mul
 
 import pytest
 
+from crtdhss import oracle
 from crtdhss.errors import BudgetExceededError, NoCrtSolutionError
 from crtdhss.fieldpoly import Poly, crt_combine, vectors
 from crtdhss.oracle import (
@@ -32,7 +33,7 @@ from crtdhss.params import (
     is_authorized,
     validate_params,
 )
-from crtdhss.scheme import Bulletin, deal
+from crtdhss.scheme import Bulletin, Share, deal, unmask_share
 
 
 def make_setup(p, level_sizes, thresholds, degrees, d0=1, seed=0, table_seed=1):
@@ -457,6 +458,85 @@ class TestReferenceWalk:
             assert enumerate_consistent(view) == reference_histogram(view), (coalition, mode)
 
 
+def reference_fiber(view, secret):
+    """Consistent master tuples opening to `secret`, from one walk over the
+    free coefficients of all levels at once, keeping every whole tuple.
+
+    Each level's candidates are base + k * step, with the base the CRT
+    solution of the secret and the members' residues; every tuple is
+    re-verified against every constraint before it counts.
+    """
+    structure, params = view.structure, view.params
+    p, degrees, m = params.p, params.degrees, structure.m
+    x_d0 = params.secret_modulus
+    residues = {}
+    for i in sorted(view.coalition):
+        share = Share(i, structure.level_of(i), view.shares[i])
+        for level in range(share.level, m + 1):
+            value = unmask_share(view.family, view.bulletin, share, level)
+            residues[(level, i)] = value % params.moduli[i - 1]
+    s_poly = Poly(p, secret)
+
+    bases, steps, free_lens, bounds = [], [], [], []
+    for bound, t in zip(structure.prefix_counts, structure.thresholds):
+        members = [i for i in sorted(view.coalition) if i <= bound]
+        level = len(bases) + 1
+        mods = [x_d0] + [params.moduli[i - 1] for i in members]
+        res = [s_poly] + [residues[(level, i)] for i in members]
+        step = Poly.one(p)
+        for mod in mods:
+            step = step * mod
+        degree_cap = sum(degrees[:t])
+        bases.append(crt_combine(res, mods))
+        steps.append(step)
+        free_lens.append(max(0, degree_cap - step.degree))
+        bounds.append(degree_cap)
+
+    seen = set()
+    for digits in vectors(p, sum(free_lens)):
+        tuple_polys = []
+        pos = 0
+        for base, step, length in zip(bases, steps, free_lens):
+            k = Poly(p, digits[pos : pos + length])
+            pos += length
+            tuple_polys.append(base + k * step)
+
+        ok = all(g.degree < cap for g, cap in zip(tuple_polys, bounds))
+        if ok:
+            opened = tuple_polys[m - 1] % x_d0
+            ok = all(g % x_d0 == opened for g in tuple_polys) and opened == s_poly % x_d0
+        if ok:
+            for (level, i), res in residues.items():
+                if tuple_polys[level - 1] % params.moduli[i - 1] != res:
+                    ok = False
+                    break
+        if ok:
+            key = tuple(g.coeffs for g in tuple_polys)
+            assert key not in seen, "free-coefficient parameterization collided"
+            seen.add(key)
+    return len(seen)
+
+
+def free_levels(structure, params, coalition):
+    """Number of levels whose master polynomial keeps free coefficients."""
+    degrees = params.degrees
+    return sum(
+        sum(degrees[:t]) - params.d0 - sum(degrees[i - 1] for i in coalition if i <= bound) > 0
+        for bound, t in zip(structure.prefix_counts, structure.thresholds)
+    )
+
+
+def tuple_count_cases():
+    return [
+        (theta_one_setup(), {3}),
+        (theta_one_setup(), frozenset()),
+        (tiny_state_setup(), {2}),
+        (tiny_state_setup(), {3}),
+        (make_setup(5, (3, 4), (2, 3), [2] * 7, d0=2), {4, 5}),
+        (make_setup(11, (3, 4), (2, 3), [1] * 7), {4}),
+    ]
+
+
 class TestTupleCounts:
     def test_reference_exponent_one_counts(self):
         structure, params = theta_one_setup()
@@ -466,14 +546,7 @@ class TestTupleCounts:
         assert count_consistent_tuples(structure, params, {3}) == 9
 
     def test_counts_match_exponent_formula_across_configs(self):
-        cases = [
-            (theta_one_setup(), {3}),
-            (theta_one_setup(), frozenset()),
-            (tiny_state_setup(), {2}),
-            (tiny_state_setup(), {3}),
-            (make_setup(5, (3, 4), (2, 3), [2] * 7, d0=2), {4, 5}),
-        ]
-        for (structure, params), coalition in cases:
+        for (structure, params), coalition in tuple_count_cases():
             p, d0 = params.p, params.d0
             theta = preimage_exponent(structure, params, coalition)
             view, _ = observe_coalition(
@@ -491,6 +564,37 @@ class TestTupleCounts:
                 count_consistent_tuples(structure, params, coalition, view=view)
                 == total
             )
+
+    def test_level_by_level_scan_equals_whole_tuple_walk(self):
+        spread = []
+        for (structure, params), coalition in tuple_count_cases():
+            view, _ = observe_coalition(structure, params, coalition, rng=random.Random(1))
+            for secret in vectors(params.p, params.d0):
+                got = count_secret_preimages(structure, params, coalition, secret, view=view)
+                assert got == reference_fiber(view, secret), (structure, coalition, secret)
+            spread.append(free_levels(structure, params, coalition))
+        assert max(spread) >= 2
+
+    def test_candidate_breaking_a_pinned_residue_is_refused(self, monkeypatch):
+        # A base that solves only the secret's congruence proposes s + k * step,
+        # which meets member i's congruence exactly when s already does; the
+        # re-check must refuse every other secret's candidates.
+        structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7)
+        view, _ = observe_coalition(structure, params, {4}, rng=random.Random(1))
+        share = Share(4, 2, view.shares[4])
+        pinned = unmask_share(view.family, view.bulletin, share, 2) % params.moduli[3]
+        theta = preimage_exponent(structure, params, {4})
+        monkeypatch.setattr(oracle, "crt_combine", lambda residues, moduli: residues[0])
+        counts = [
+            count_secret_preimages(structure, params, {4}, secret, view=view)
+            for secret in vectors(params.p, params.d0)
+        ]
+        expected = [
+            params.p**theta if Poly(params.p, secret) % params.moduli[3] == pinned else 0
+            for secret in vectors(params.p, params.d0)
+        ]
+        assert counts == expected
+        assert 0 in expected and sum(expected) == params.p**theta
 
     def test_zero_exponent_leaves_single_tuple_per_secret(self):
         structure, params = tiny_state_setup()

@@ -139,6 +139,13 @@ class TestPublicParamsConstruction:
             PublicParams(5, 1, (linear(5, 1),), hash_backend="table", table_seed=seed)
         PublicParams(5, 1, (linear(5, 1),), hash_backend="table", table_seed=2**64 - 1)
 
+    def test_table_backend_field_limit(self):
+        big = 2**61 - 1
+        with pytest.raises(ValueError, match="table hash backend needs p <= 1048576"):
+            PublicParams(big, 1, (linear(big, 1),), hash_backend="table", table_seed=5)
+        PublicParams(big, 1, (linear(big, 1),))
+        PublicParams(1048573, 1, (linear(1048573, 1),), hash_backend="table", table_seed=5)
+
     def test_constant_modulus_rejected(self):
         with pytest.raises(ValueError):
             PublicParams(5, 1, (Poly(5, [2]),))
@@ -363,6 +370,19 @@ class TestValidateOnce:
         ])
         assert code == 0 and capsys.readouterr().out == "5\n"
         assert validations() == 1
+
+    def test_shapes_derived_once_and_kept_out_of_equality(self, validations):
+        structure = AccessStructure((3, 4), (2, 3))
+        first = params_with_degrees(11, 1, [1] * 7, seed=3)
+        second = params_with_degrees(11, 1, [1] * 7, seed=3)
+        assert first == second and first is not second
+        assert validate_params(structure, first).ok
+        assert second.degrees == (1,) * 7
+        assert second.degrees is second.degrees
+        assert structure.prefix_counts is structure.prefix_counts
+        assert validate_params(structure, second).ok
+        assert validations() == 1
+        assert hash(first) == hash(second)
 
     def test_invalid_pair_fails_on_every_call(self, validations):
         structure = AccessStructure((3,), (2,))
