@@ -116,15 +116,15 @@ def cmd_gen_params(args) -> int:
         _csv_ints(args.levels, "--levels"), _csv_ints(args.thresholds, "--thresholds")
     )
     degrees = _parse_degrees(args.degrees, structure.n)
-    if args.hash_backend == "table" and args.table_seed is None:
-        raise ValueError("--hash-backend table requires --table-seed")
+    if (args.table_seed is None) == (args.hash_backend == "table"):
+        raise ValueError("--table-seed is required exactly when --hash-backend is table")
     moduli = generate_moduli(args.p, degrees, _rng(args))
     params = PublicParams(
         p=args.p,
         d0=args.d0,
         moduli=moduli,
         hash_backend=args.hash_backend,
-        table_seed=args.table_seed if args.hash_backend == "table" else None,
+        table_seed=args.table_seed,
     )
     check_params(structure, params)
     fileio.save_params(args.out, structure, params)
@@ -136,20 +136,19 @@ def cmd_deal(args) -> int:
     structure, params = fileio.load_params(args.params)
     secret = _parse_secret(args.secret)
     rng = _rng(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.yang:
-        shares, masks = yang_deal(structure, params, secret, rng)
-        bulletin_path = out_dir / "masks.json"
-        fileio.save_bulletin(bulletin_path, masks)
+        shares, bulletin = yang_deal(structure, params, secret, rng)
+        bulletin_name = "masks.json"
     else:
         family = family_from_params(params, structure.m)
         shares, bulletin = deal(structure, params, family, secret, rng)
-        bulletin_path = out_dir / "bulletin.json"
-        fileio.save_bulletin(bulletin_path, bulletin)
+        bulletin_name = "bulletin.json"
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fileio.save_bulletin(out_dir / bulletin_name, bulletin)
     for share in shares:
         fileio.save_share(out_dir / f"share_{share.participant:03d}.json", share)
-    print(f"wrote {len(shares)} shares and {bulletin_path.name} to {out_dir}", file=sys.stderr)
+    print(f"wrote {len(shares)} shares and {bulletin_name} to {out_dir}", file=sys.stderr)
     return 0
 
 
@@ -199,11 +198,10 @@ def cmd_analyze(args) -> int:
     expected_fiber = p**theta
     expected_total = p ** (theta + d0)
 
-    preimage_counts = {}
-    for secret in vectors(p, d0):
-        preimage_counts[" ".join(str(c) for c in secret)] = count_secret_preimages(
-            structure, params, coalition, secret, budget=budget, view=view
-        )
+    preimage_counts = {
+        " ".join(str(c) for c in secret): count_secret_preimages(view, secret, budget)
+        for secret in vectors(p, d0)
+    }
     # A tuple opens to exactly one secret, so the fibers sum to the tuple count.
     budget.check(expected_total)
     tuples_total = sum(preimage_counts.values())

@@ -3,20 +3,22 @@
 Everything here answers one question exactly, by exhaustion: given an
 unauthorized coalition's view of a transcript, how many dealer choices
 remain consistent with it, and how are they distributed over candidate
-secrets? Two complementary enumerations are implemented:
+secrets? Every audit function takes that view as its only input, and both
+enumerations read the residues it pins from the congruences the view
+derives once (`CoalitionView._levels`):
 
 - `enumerate_consistent` counts the dealer's randomness (secret, blinding
   polynomials, random share vectors) that reproduces the observed view,
   yielding a histogram over secrets. It walks (secret, blindings) only:
-  each residue check is affine in those digits, a dot product with rows of
-  x**j mod m_i built once per view. A random vector outside the coalition
+  each pinned residue is affine in those digits, a dot product with rows
+  of x**j mod m_i built once per view. A random vector outside the coalition
   meets the view only through its hashes, one coefficient at a time, so it
   is not walked but weighed by the number of its hash preimages.
 - `count_consistent_tuples` / `count_secret_preimages` count candidate
   master-polynomial tuples, parameterized by their free coefficients,
   verifying the coalition's algebraic constraints on each. The levels share
-  only the secret, so each level is scanned alone, from congruences the view
-  derives once, and the per-level counts multiply.
+  only the secret, so each level is scanned alone and the per-level counts
+  multiply.
 
 The two viewpoints cross-validate each other; both are exact counts, never
 samples. A state budget guards every enumeration up front.
@@ -207,16 +209,14 @@ def state_count(view: CoalitionView) -> int:
     return view.params.p**total_digits
 
 
-def _residue_rows(view: CoalitionView, level: int, i: int) -> list[tuple[int, ...]]:
-    """Row k: the weight of each outer digit in coefficient k of f_level mod m_i.
+def _residue_rows(view: CoalitionView, level: int, modulus: Poly) -> list[tuple[int, ...]]:
+    """Row k: the weight of each outer digit in coefficient k of f_level mod `modulus`.
 
     The outer digits are secret | alpha_1..alpha_m. f_level's coefficient j
     is the secret digit j below d0 and an alpha_level digit above, so column
-    j of the rows is x**j mod m_i, placed at that digit.
+    j of the rows is x**j mod the modulus, placed at that digit.
     """
-    params = view.params
-    p, d0 = params.p, params.d0
-    modulus = params.moduli[i - 1]
+    p, d0 = view.params.p, view.params.d0
     alpha_lens, _, _ = _state_layout(view)
     start = d0 + sum(alpha_lens[: level - 1])
     positions = [*range(d0), *range(start, start + alpha_lens[level - 1])]
@@ -230,11 +230,11 @@ def _residue_rows(view: CoalitionView, level: int, i: int) -> list[tuple[int, ..
 def _count_states(view: CoalitionView) -> dict[tuple[int, ...], int]:
     """Histogram over secrets of the dealer states that reproduce the view.
 
-    Walks the outer digits secret | alpha_1..alpha_m only. A mask (level, i)
-    reads coefficient k of f_level mod m_i as r_k = entry_k + h_level(c_ik)
-    mod p. A coalition member's c_i is its share, so its masks, like a
-    bottom member's share, are fixed targets for the rows' dot products. The
-    c_i of a random participant outside the coalition is free: each of its
+    Walks the outer digits secret | alpha_1..alpha_m only. Every residue of
+    f_l that the coalition pins (`CoalitionView._levels`) is a fixed target
+    for the rows' dot products. A mask (level, i) of a random participant
+    outside the coalition reads coefficient k of f_level mod m_i as
+    r_k = entry_k + h_level(c_ik) mod p with c_i free: each of its
     coefficients admits |{v : h_l(v) = r_lk - entry_lk mod p for each
     selected level l}| values, and the state counts with the product of
     those weights (p per coefficient when no level is selected).
@@ -250,24 +250,21 @@ def _count_states(view: CoalitionView) -> dict[tuple[int, ...], int]:
                 return {}  # every dealt entry is reduced mod m_i over F_p
             levels[i].append(level)
 
-    # (row, want): a bottom member's residue of f_m is its share; a coalition
-    # mask's residue of f_l is its entry plus h_l(share), coordinate-wise.
+    # (row, want): coefficient k of each pinned residue of f_l
     checks = []
-    for i in sorted(view.coalition):
-        if i > n_random:
-            checks += zip(_residue_rows(view, view.structure.m, i), view.shares[i])
+    for level, (mods, residues, _, _) in enumerate(view._levels, start=1):
+        for mod, residue in zip(mods, residues):
+            checks += zip(_residue_rows(view, level, mod), residue.padded(mod.degree))
     # (terms, counts) per free coefficient k: terms pair row k of each selected
     # level with entry coordinate k; counts maps the levels' hash tuple of v to
     # the number of v in F_p producing it.
     free = []
     for i, selected in levels.items():
-        rows = [_residue_rows(view, level, i) for level in selected]
-        padded = [entries[(level, i)].padded(degrees[i - 1]) for level in selected]
         if i in view.coalition:
-            for level, level_rows, entry in zip(selected, rows, padded):
-                hashed = (family.hash_element(level, c) for c in view.shares[i])
-                checks += zip(level_rows, [(e + h) % p for e, h in zip(entry, hashed)])
             continue
+        modulus = params.moduli[i - 1]
+        rows = [_residue_rows(view, level, modulus) for level in selected]
+        padded = [entries[(level, i)].padded(degrees[i - 1]) for level in selected]
         counts = Counter(
             tuple(family.hash_element(level, v) for level in selected) for v in range(p)
         )
@@ -344,55 +341,25 @@ def _scan_fiber(view: CoalitionView, secret: tuple[int, ...]) -> int:
     return count
 
 
-def _checked_view(
-    structure: AccessStructure,
-    params: PublicParams,
-    coalition,
-    view: Optional[CoalitionView],
-) -> CoalitionView:
-    if view is None:
-        return observe_coalition(structure, params, coalition)[0]
-    if (
-        view.structure != structure
-        or view.params != params
-        or view.coalition != frozenset(coalition)
-    ):
-        raise ValueError("view does not belong to this structure/params/coalition")
-    return view
-
-
 def count_secret_preimages(
-    structure: AccessStructure,
-    params: PublicParams,
-    coalition,
+    view: CoalitionView,
     secret: Sequence[int],
     budget: EnumerationBudget = DEFAULT_BUDGET,
-    view: Optional[CoalitionView] = None,
 ) -> int:
-    """Exact number of consistent master tuples opening to one secret.
-
-    Counts over a concrete observed view (a freshly dealt one by default;
-    the count itself is view-independent).
-    """
-    vector = _check_secret(params, secret)
-    view = _checked_view(structure, params, coalition, view)
-    exponent = preimage_exponent(structure, params, coalition)
-    budget.check(params.p**exponent)
+    """Exact number of master tuples consistent with the view opening to one secret."""
+    vector = _check_secret(view.params, secret)
+    budget.check(view.params.p ** preimage_exponent(view.structure, view.params, view.coalition))
     return _scan_fiber(view, vector)
 
 
 def count_consistent_tuples(
-    structure: AccessStructure,
-    params: PublicParams,
-    coalition,
+    view: CoalitionView,
     budget: EnumerationBudget = DEFAULT_BUDGET,
-    view: Optional[CoalitionView] = None,
 ) -> int:
-    """Exact number of master tuples consistent with the coalition's data."""
-    view = _checked_view(structure, params, coalition, view)
-    exponent = preimage_exponent(structure, params, coalition)
-    budget.check(params.p ** (exponent + params.d0))
-    return sum(_scan_fiber(view, secret) for secret in vectors(params.p, params.d0))
+    """Exact number of master tuples consistent with the view."""
+    p, d0 = view.params.p, view.params.d0
+    budget.check(p ** (preimage_exponent(view.structure, view.params, view.coalition) + d0))
+    return sum(_scan_fiber(view, secret) for secret in vectors(p, d0))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,14 @@ MAX_PRIME = 2**64 - 1
 _ENUMERATION_CUTOFF = 1 << 12
 
 
+def _check_field(p: int) -> None:
+    """Refuse p unless it is a prime that fits in 64 bits, checking the size first."""
+    if p > MAX_PRIME:
+        raise ValueError("field modulus must fit in 64 bits")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 @dataclass(frozen=True)
 class AccessStructure:
     """Level sizes n_1..n_m and strictly increasing thresholds t_1..t_m."""
@@ -93,10 +101,7 @@ class PublicParams:
 
     def __post_init__(self):
         object.__setattr__(self, "moduli", tuple(self.moduli))
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.p > MAX_PRIME:
-            raise ValueError("field modulus must fit in 64 bits")
+        _check_field(self.p)
         if self.d0 < 1:
             raise ValueError("secret degree bound must be at least 1")
         if not self.moduli:
@@ -339,8 +344,7 @@ def generate_moduli(
     The profile must be nondecreasing; condition (iii) against a threshold
     sequence remains the caller's responsibility.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_field(p)
     profile = tuple(degree_profile)
     if not profile or any(d < 1 for d in profile):
         raise ValueError("degree profile must be nonempty and positive")

@@ -55,13 +55,6 @@ class Bulletin:
         return key in self.entries
 
 
-@dataclass(frozen=True)
-class MasterPolys:
-    """Dealer-internal master polynomials f_1..f_m. Never published."""
-
-    polys: tuple[Poly, ...]
-
-
 def _check_setup(structure: AccessStructure, params: PublicParams, family: HashFamily) -> None:
     check_params(structure, params)
     published = (params.hash_backend, params.p, structure.m, params.table_seed)
@@ -117,7 +110,7 @@ def _master_polys(
     params: PublicParams,
     secret: tuple[int, ...],
     rng: random.Random,
-) -> MasterPolys:
+) -> tuple[Poly, ...]:
     # Draw order: alpha_1..alpha_m, then the random share vectors (caller).
     degrees = params.degrees
     s_poly = Poly(params.p, secret)
@@ -128,7 +121,7 @@ def _master_polys(
         f = s_poly + alpha.shift(params.d0)
         assert f % params.secret_modulus == s_poly % params.secret_modulus
         polys.append(f)
-    return MasterPolys(tuple(polys))
+    return tuple(polys)
 
 
 def deal_with_internals(
@@ -137,7 +130,7 @@ def deal_with_internals(
     family: HashFamily,
     secret: Sequence[int],
     rng: random.Random,
-) -> tuple[tuple[Share, ...], Bulletin, MasterPolys]:
+) -> tuple[tuple[Share, ...], Bulletin, tuple[Poly, ...]]:
     """Deal and also return the dealer's master polynomials (for audits/tests)."""
     _check_setup(structure, params, family)
     vector = _check_secret(params, secret)
@@ -153,11 +146,11 @@ def deal_with_internals(
         if i <= n_random:
             coeffs = _draw_vector(rng, params.p, degrees[i - 1])
         else:
-            coeffs = (masters.polys[m - 1] % params.moduli[i - 1]).padded(degrees[i - 1])
+            coeffs = (masters[m - 1] % params.moduli[i - 1]).padded(degrees[i - 1])
         shares.append(Share(i, structure.level_of(i), coeffs))
 
     entries: dict[tuple[int, int], Poly] = {}
-    for level, f in enumerate(masters.polys, start=1):
+    for level, f in enumerate(masters, start=1):
         for i in range(1, min(prefix[level - 1], n_random) + 1):
             masked = family.hash_poly(level, shares[i - 1].coeffs)
             entries[(level, i)] = (f - masked) % params.moduli[i - 1]

@@ -24,7 +24,6 @@ from .fieldpoly import Poly, crt_combine
 from .params import AccessStructure, PublicParams, check_params
 from .scheme import (
     Bulletin,
-    MasterPolys,
     Share,
     _check_secret,
     _master_polys,
@@ -47,12 +46,11 @@ def yang_deal_with_internals(
     params: PublicParams,
     secret: Sequence[int],
     rng: random.Random,
-) -> tuple[tuple[Share, ...], Bulletin, MasterPolys]:
+) -> tuple[tuple[Share, ...], Bulletin, tuple[Poly, ...]]:
     """Deal and also return f_1, f_2 (for audits/tests)."""
     _check_two_level(structure, params)
     vector = _check_secret(params, secret)
-    masters = _master_polys(structure, params, vector, rng)
-    f1, f2 = masters.polys
+    f1, f2 = masters = _master_polys(structure, params, vector, rng)
     degrees = params.degrees
     n1 = structure.level_sizes[0]
 

@@ -292,12 +292,10 @@ def test_criterion_4_preimage_and_total_counts():
         )
         total = 0
         for secret in vectors(p, d0):
-            got = count_secret_preimages(
-                structure, params, coalition, secret, view=view
-            )
+            got = count_secret_preimages(view, secret)
             assert got == p**theta, (structure, coalition, secret, got, theta)
             total += got
-        tuples = count_consistent_tuples(structure, params, coalition, view=view)
+        tuples = count_consistent_tuples(view)
         assert tuples == p ** (theta + d0) == total
         checked += 1
     report(

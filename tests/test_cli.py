@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtdhss import params as params_module
 from crtdhss.cli import build_parser, main
 from crtdhss.fileio import load_bulletin, load_params, load_share, save_share
 from crtdhss.oracle import DEFAULT_BUDGET
@@ -134,6 +135,56 @@ class TestGenParams:
         assert code == 2
         assert "--seed" in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--levels", "a,b"), "--levels must be a comma-separated integer list"),
+            (("--hash-backend", "table"), "--table-seed is required exactly when"),
+            (("--table-seed", "5"), "--table-seed is required exactly when"),
+            (("--d0", "0"), "secret degree bound must be at least 1"),
+        ],
+    )
+    def test_usage_error_exit_2_and_no_file(self, tmp_path, capsys, extra, message):
+        # a --table-seed without the table backend used to be dropped with exit 0
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys,
+            "gen-params",
+            "--p", "11", "--levels", "3,4", "--thresholds", "2,3",
+            "--degrees", "1x7", "--seed", "1",
+            "--out", str(out),
+            *extra,
+        )
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
+    def test_oversized_p_refused_before_primality(self, tmp_path, capsys, monkeypatch):
+        # a 4,215-digit p used to stall in is_prime before the size check
+        huge = 2**14000 + 1
+        is_prime = params_module.is_prime
+
+        def small_only(n):
+            assert n <= 2**64, "primality test reached with an oversized p"
+            return is_prime(n)
+
+        monkeypatch.setattr(params_module, "is_prime", small_only)
+        path = gen_reference_params(tmp_path, capsys)
+        data = json.loads(path.read_text())
+        data["p"] = str(huge)
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "deal", "--params", str(path), "--secret", "3",
+                           "--seed", "2", "--out-dir", str(tmp_path / "d"))
+        assert code == 2
+        assert "fit in 64 bits" in err
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "gen-params", "--p", str(huge), "--levels", "3,4",
+                           "--thresholds", "2,3", "--degrees", "1x7", "--seed", "1",
+                           "--out", str(out))
+        assert code == 2
+        assert "fit in 64 bits" in err
+        assert not out.exists()
+
 
 class TestDealReconstruct:
     def test_round_trip(self, tmp_path, capsys):
@@ -253,6 +304,24 @@ class TestDealReconstruct:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "secret, extra, message",
+        [
+            ("11", (), "field elements"),
+            ("11", ("--yang",), "field elements"),
+            (" , ", (), "secret is empty"),
+        ],
+    )
+    def test_refused_deal_exit_2_and_no_out_dir(self, tmp_path, capsys, secret, extra, message):
+        # the output directory used to be created before the deal was refused
+        params_path = gen_reference_params(tmp_path, capsys)
+        out_dir = tmp_path / "deal"
+        code, _, err = run(capsys, "deal", "--params", str(params_path), "--secret", secret,
+                           "--seed", "2", "--out-dir", str(out_dir), *extra)
+        assert code == 2
+        assert message in err
+        assert not out_dir.exists()
+
     def test_hex_secret_accepted(self, tmp_path, capsys):
         params_path = gen_reference_params(tmp_path, capsys)
         out_dir = tmp_path / "deal"
@@ -343,6 +412,26 @@ class TestAttackYang:
         )
         assert code == 5
         assert out == ""
+
+    def test_missing_mask_exit_2(self, tmp_path, capsys):
+        params_path, out_dir = self.deal_yang(tmp_path, capsys)
+        masks_path = out_dir / "masks.json"
+        payload = json.loads(masks_path.read_text())
+        payload["entries"] = [
+            e for e in payload["entries"] if (e["level"], e["participant"]) != (2, 1)
+        ]
+        masks_path.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys,
+            "attack-yang",
+            "--params", str(params_path),
+            "--masks", str(masks_path),
+            str(out_dir / "share_004.json"),
+            str(out_dir / "share_005.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.endswith("error: bulletin has no published mask for level 2, participant 1\n")
 
     def test_small_top_level_exit_6(self, tmp_path, capsys):
         params_path, out_dir = self.deal_yang(tmp_path, capsys, levels="2,4")
@@ -668,6 +757,29 @@ class TestFileFormats:
         code, _, err = run(capsys, *reconstruct_argv(files))
         assert code == 2
         assert "deep.json: JSON nested too deeply" in err
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("share", lambda d: d.update(coeffs=["11"]), "share: coefficient 11 outside [0, 11)"),
+            ("share", lambda d: d.update(participant=0), "participant and level are 1-based"),
+            (
+                "bulletin",
+                lambda d: d["entries"].append(d["entries"][0]),
+                "duplicate entry for (1, 1)",
+            ),
+        ],
+    )
+    def test_malformed_file_exit_2(self, tmp_path, capsys, reference_files, kind, edit, message):
+        payload = json.loads(reference_files[kind].read_text())
+        edit(payload)
+        files = dict(reference_files)
+        files[kind] = tmp_path / f"{kind}.json"
+        files[kind].write_text(json.dumps(payload))
+        code, out, err = run(capsys, *reconstruct_argv(files))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_unknown_format_version_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

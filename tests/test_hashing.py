@@ -75,6 +75,21 @@ class TestTableBackend:
             HashFamily.table(2147483647, 2, 1)
         assert TABLE_FIELD_LIMIT < 2147483647
 
+    @pytest.mark.parametrize(
+        "backend, p, levels, seed, message",
+        [
+            ("md5", 11, 2, None, "unknown hash backend"),
+            ("crypto", 1, 2, None, "at least 2"),
+            ("crypto", 11, 0, None, "at least one level"),
+            ("table", 11, 2, None, "requires a seed"),
+            ("table", 11, 2, 2**64, "64 bits"),
+            ("crypto", 11, 2, 1, "takes no seed"),
+        ],
+    )
+    def test_constructor_refusals(self, backend, p, levels, seed, message):
+        with pytest.raises(ValueError, match=message):
+            HashFamily(backend, p, levels, table_seed=seed)
+
     def test_exhaustive_range_check(self):
         fam = HashFamily.table(257, 2, 3)
         bound = 1 << fam.output_bits

@@ -178,7 +178,7 @@ class TestEnumerateConsistent:
         structure, params = quad_setup_p3()
         view, _ = observe_coalition(structure, params, {3}, rng=random.Random(5))
         hist = enumerate_consistent(view)
-        tuples = count_consistent_tuples(structure, params, {3}, view=view)
+        tuples = count_consistent_tuples(view)
         # free coefficients: the random vectors of non-coalition members
         free = sum(
             params.degrees[i - 1]
@@ -541,9 +541,10 @@ class TestTupleCounts:
     def test_reference_exponent_one_counts(self):
         structure, params = theta_one_setup()
         assert preimage_exponent(structure, params, {3}) == 1
+        view = observe_coalition(structure, params, {3})[0]
         for secret in [(0,), (1,), (2,)]:
-            assert count_secret_preimages(structure, params, {3}, secret) == 3
-        assert count_consistent_tuples(structure, params, {3}) == 9
+            assert count_secret_preimages(view, secret) == 3
+        assert count_consistent_tuples(view) == 9
 
     def test_counts_match_exponent_formula_across_configs(self):
         for (structure, params), coalition in tuple_count_cases():
@@ -554,23 +555,18 @@ class TestTupleCounts:
             )
             total = 0
             for secret in vectors(p, d0):
-                got = count_secret_preimages(
-                    structure, params, coalition, secret, view=view
-                )
+                got = count_secret_preimages(view, secret)
                 assert got == p**theta
                 total += got
             assert total == p ** (theta + d0)
-            assert (
-                count_consistent_tuples(structure, params, coalition, view=view)
-                == total
-            )
+            assert count_consistent_tuples(view) == total
 
     def test_level_by_level_scan_equals_whole_tuple_walk(self):
         spread = []
         for (structure, params), coalition in tuple_count_cases():
             view, _ = observe_coalition(structure, params, coalition, rng=random.Random(1))
             for secret in vectors(params.p, params.d0):
-                got = count_secret_preimages(structure, params, coalition, secret, view=view)
+                got = count_secret_preimages(view, secret)
                 assert got == reference_fiber(view, secret), (structure, coalition, secret)
             spread.append(free_levels(structure, params, coalition))
         assert max(spread) >= 2
@@ -586,7 +582,7 @@ class TestTupleCounts:
         theta = preimage_exponent(structure, params, {4})
         monkeypatch.setattr(oracle, "crt_combine", lambda residues, moduli: residues[0])
         counts = [
-            count_secret_preimages(structure, params, {4}, secret, view=view)
+            count_secret_preimages(view, secret)
             for secret in vectors(params.p, params.d0)
         ]
         expected = [
@@ -599,26 +595,21 @@ class TestTupleCounts:
     def test_zero_exponent_leaves_single_tuple_per_secret(self):
         structure, params = tiny_state_setup()
         assert preimage_exponent(structure, params, {2}) == 0
-        assert count_secret_preimages(structure, params, {2}, (1,)) == 1
+        view = observe_coalition(structure, params, {2})[0]
+        assert count_secret_preimages(view, (1,)) == 1
 
     def test_budget_guard(self):
         structure, params = theta_one_setup()
         with pytest.raises(BudgetExceededError):
             count_consistent_tuples(
-                structure, params, {3}, budget=EnumerationBudget(8)
+                observe_coalition(structure, params, {3})[0], budget=EnumerationBudget(8)
             )
 
     def test_secret_outside_field_rejected(self):
         # (3,) used to be counted as the secret (0,) at p = 3
         structure, params = theta_one_setup()
         with pytest.raises(ValueError, match="field elements"):
-            count_secret_preimages(structure, params, {3}, (3,))
-
-    def test_view_mismatch_rejected(self):
-        structure, params = theta_one_setup()
-        view, _ = observe_coalition(structure, params, {3})
-        with pytest.raises(ValueError):
-            count_secret_preimages(structure, params, {4}, (0,), view=view)
+            count_secret_preimages(observe_coalition(structure, params, {3})[0], (3,))
 
 
 class TestLossEntropy:

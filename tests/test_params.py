@@ -146,6 +146,14 @@ class TestPublicParamsConstruction:
         PublicParams(big, 1, (linear(big, 1),))
         PublicParams(1048573, 1, (linear(1048573, 1),), hash_backend="table", table_seed=5)
 
+    @pytest.mark.parametrize(
+        "moduli, message",
+        [((), "at least one modulus"), ((Poly(7, [1, 1]),), "polynomial over F_p")],
+    )
+    def test_moduli_refused(self, moduli, message):
+        with pytest.raises(ValueError, match=message):
+            PublicParams(5, 1, moduli)
+
     def test_constant_modulus_rejected(self):
         with pytest.raises(ValueError):
             PublicParams(5, 1, (Poly(5, [2]),))

@@ -54,7 +54,7 @@ class TestDeal:
             structure, params, family, (7,), rng
         )
         assert bulletin.entries == {}
-        f = masters.polys[0]
+        f = masters[0]
         for share in shares:
             assert share.poly(11) == f % params.moduli[share.participant - 1]
 
@@ -83,7 +83,7 @@ class TestDeal:
             structure, params, family, (9,), rng
         )
         for (level, i), w in bulletin.entries.items():
-            expected = masters.polys[level - 1] % params.moduli[i - 1]
+            expected = masters[level - 1] % params.moduli[i - 1]
             masked = family.hash_poly(level, shares[i - 1].coeffs)
             assert (w + masked) % params.moduli[i - 1] == expected
 
@@ -100,7 +100,7 @@ class TestDeal:
             assert len(share.coeffs) == degrees[share.participant - 1]
         for (level, i), w in bulletin.entries.items():
             assert w.degree < degrees[i - 1]
-        for level, f in enumerate(masters.polys, start=1):
+        for level, f in enumerate(masters, start=1):
             t = structure.thresholds[level - 1]
             assert f.degree < sum(degrees[:t])
 
@@ -112,7 +112,7 @@ class TestDeal:
         _, _, masters = deal_with_internals(
             structure, params, family, secret, random.Random(1)
         )
-        for f in masters.polys:
+        for f in masters:
             assert (f % params.secret_modulus).padded(2) == secret
 
     def test_wrong_secret_length(self):
@@ -290,7 +290,7 @@ class TestUnmask:
         _, params, family, shares, bulletin, masters = self.setup_shares()
         for level in (1, 2):
             got = unmask_share(family, bulletin, shares[0], level)
-            expected = masters.polys[level - 1] % params.moduli[0]
+            expected = masters[level - 1] % params.moduli[0]
             assert got % params.moduli[0] == expected
 
     def test_missing_entry(self):

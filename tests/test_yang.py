@@ -46,7 +46,7 @@ class TestYangDeal:
         shares, masks, masters = yang_deal_with_internals(
             structure, params, (2,), random.Random(7)
         )
-        diff = masters.polys[1] - masters.polys[0]
+        diff = masters[1] - masters[0]
         for i in range(1, 4):
             assert masks.entry(2, i) == diff % params.moduli[i - 1]
 
@@ -56,7 +56,7 @@ class TestYangDeal:
             structure, params, (2,), random.Random(7)
         )
         for share in shares:
-            f = masters.polys[0] if share.participant <= 3 else masters.polys[1]
+            f = masters[0] if share.participant <= 3 else masters[1]
             assert share.poly(11) == f % params.moduli[share.participant - 1]
 
     def test_three_level_structure_rejected(self):
@@ -111,7 +111,7 @@ class TestYangAttack:
             _, _, masters = yang_deal_with_internals(
                 structure, params, (trial % 11,), random.Random(trial)
             )
-            assert (masters.polys[1] - masters.polys[0]).degree < sum(params.degrees[:3])
+            assert (masters[1] - masters[0]).degree < sum(params.degrees[:3])
 
     def test_exhaustive_over_all_secrets_tiny_fields(self):
         # Small two-level shape with n_1 >= t_2 and a singleton coalition
