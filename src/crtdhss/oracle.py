@@ -9,11 +9,12 @@ derives once (`CoalitionView._levels`):
 
 - `enumerate_consistent` counts the dealer's randomness (secret, blinding
   polynomials, random share vectors) that reproduces the observed view,
-  yielding a histogram over secrets. It walks (secret, blindings) only:
-  each pinned residue is affine in those digits, a dot product with rows
-  of x**j mod m_i built once per view. A random vector outside the coalition
-  meets the view only through its hashes, one coefficient at a time, so it
-  is not walked but weighed by the number of its hash preimages.
+  yielding a histogram over secrets. Each pinned residue is linear in the
+  outer digits (secret, blindings), so Gauss-Jordan elimination over F_p
+  solves those checks once per view and only the solutions are walked. A
+  random vector outside the coalition meets the view only through its
+  hashes, one coefficient at a time, so it is weighed, not walked, by the
+  number of its hash preimages.
 - `count_consistent_tuples` / `count_secret_preimages` count candidate
   master-polynomial tuples, parameterized by their free coefficients,
   verifying the coalition's algebraic constraints on each. The levels share
@@ -103,9 +104,13 @@ class CoalitionView:
             raise ValueError("exactly the coalition members' shares are required")
         _check_setup(self.structure, self.params, self.family)
         bounds = [min(n, _state_layout(self)[1]) for n in self.structure.prefix_counts]
+        published = {(l, i) for l, b in enumerate(bounds, start=1) for i in range(1, b + 1)}
         for key in self.bulletin.entries:  # a deal publishes (l, i), i <= min(N_l, N_{m-1})
-            if not (0 < key[0] <= len(bounds) and 0 < key[1] <= bounds[key[0] - 1]):
+            if key not in published:
                 raise ValueError(f"bulletin entry {key} is not one a deal publishes")
+        missing = sorted(k for k in published if k[1] in self.coalition and k not in self.bulletin)
+        if missing:
+            raise ValueError(f"bulletin lacks entry {missing[0]}, which every deal publishes")
         _pool_shares(self.structure, self.params, _member_shares(self))
 
     @functools.cached_property
@@ -209,34 +214,79 @@ def state_count(view: CoalitionView) -> int:
     return view.params.p**total_digits
 
 
+def _rows(modulus: Poly, count: int) -> list[tuple[int, ...]]:
+    """Row k dotted with coefficients 0..count-1 of a polynomial gives coefficient k of
+    its residue mod `modulus`: column j is x**j mod it, from the public `%` alone."""
+    columns = [(Poly.x_power(modulus.p, j) % modulus).padded(modulus.degree) for j in range(count)]
+    return [tuple(column[k] for column in columns) for k in range(modulus.degree)]
+
+
 def _residue_rows(view: CoalitionView, level: int, modulus: Poly) -> list[tuple[int, ...]]:
     """Row k: the weight of each outer digit in coefficient k of f_level mod `modulus`.
 
-    The outer digits are secret | alpha_1..alpha_m. f_level's coefficient j
-    is the secret digit j below d0 and an alpha_level digit above, so column
-    j of the rows is x**j mod the modulus, placed at that digit.
+    The outer digits are secret | alpha_1..alpha_m. f_level's coefficients
+    are the secret's d0 digits followed by alpha_level's, so each row of
+    x**j mod the modulus is split there and padded with the other levels' zeros.
     """
-    p, d0 = view.params.p, view.params.d0
+    d0 = view.params.d0
     alpha_lens, _, _ = _state_layout(view)
-    start = d0 + sum(alpha_lens[: level - 1])
-    positions = [*range(d0), *range(start, start + alpha_lens[level - 1])]
-    rows = [[0] * (d0 + sum(alpha_lens)) for _ in range(modulus.degree)]
-    for j, pos in enumerate(positions):
-        for k, c in enumerate((Poly.x_power(p, j) % modulus).padded(modulus.degree)):
-            rows[k][pos] = c
-    return [tuple(row) for row in rows]
+    before, after = sum(alpha_lens[: level - 1]), sum(alpha_lens[level:])
+    rows = _rows(modulus, d0 + alpha_lens[level - 1])
+    return [(*row[:d0], *(0,) * before, *row[d0:], *(0,) * after) for row in rows]
+
+
+def _solve(checks: Sequence[tuple[Sequence[int], int]], n: int, p: int) -> Optional[list]:
+    """Every x in F_p**n with row . x = want mod p for each (row, want) check.
+
+    Gauss-Jordan elimination: each row is reduced by the pivot rows so far,
+    scaled to a leading 1 and cleared from the pivot rows above. Returns
+    (c_j, w_j) per digit j: the solutions are x_j = c_j + w_j . t for t in
+    F_p**(n - rank), c the particular solution and column f of w the kernel
+    vector of free digit f. None when the checks contradict each other.
+    """
+    pivots: dict[int, list[int]] = {}  # pivot column -> reduced row | want
+    for row, want in checks:
+        row = [*row, want]
+        for col, pivot in pivots.items():
+            row = [(a - row[col] * b) % p for a, b in zip(row, pivot)]
+        col = next((j for j in range(n) if row[j]), None)
+        if col is None:
+            if row[n]:
+                return None  # 0 = want != 0
+            continue
+        inv = pow(row[col], -1, p)
+        row = [a * inv % p for a in row]
+        for above, pivot in pivots.items():
+            pivots[above] = [(a - pivot[col] * b) % p for a, b in zip(pivot, row)]
+        pivots[col] = row
+    free = [j for j in range(n) if j not in pivots]
+    return [
+        (pivots[j][n], [-pivots[j][f] % p for f in free]) if j in pivots
+        else (0, [int(j == f) for f in free])
+        for j in range(n)
+    ]
+
+
+def _checks(view: CoalitionView) -> list[tuple[tuple[int, ...], int]]:
+    """(row, want) over the outer digits: coefficient k of each pinned residue of f_l."""
+    checks = []
+    for level, (mods, residues, _, _) in enumerate(view._levels, start=1):
+        for mod, residue in zip(mods, residues):
+            checks += zip(_residue_rows(view, level, mod), residue.padded(mod.degree))
+    return checks
 
 
 def _count_states(view: CoalitionView) -> dict[tuple[int, ...], int]:
     """Histogram over secrets of the dealer states that reproduce the view.
 
-    Walks the outer digits secret | alpha_1..alpha_m only. Every residue of
-    f_l that the coalition pins (`CoalitionView._levels`) is a fixed target
-    for the rows' dot products. A mask (level, i) of a random participant
-    outside the coalition reads coefficient k of f_level mod m_i as
-    r_k = entry_k + h_level(c_ik) mod p with c_i free: each of its
+    Every residue of f_l that the coalition pins (`CoalitionView._levels`)
+    is linear in the outer digits secret | alpha_1..alpha_m, so the pinned
+    checks are solved once and only their solutions are walked:
+    p**(n - rank) points of the n outer digits. A mask (level, i) of a random
+    participant outside the coalition reads coefficient k of f_level mod m_i
+    as r_k = entry_k + h_level(c_ik) mod p with c_i free: each of its
     coefficients admits |{v : h_l(v) = r_lk - entry_lk mod p for each
-    selected level l}| values, and the state counts with the product of
+    selected level l}| values, and the point counts with the product of
     those weights (p per coefficient when no level is selected).
     """
     params, family, entries = view.params, view.family, view.bulletin.entries
@@ -250,11 +300,9 @@ def _count_states(view: CoalitionView) -> dict[tuple[int, ...], int]:
                 return {}  # every dealt entry is reduced mod m_i over F_p
             levels[i].append(level)
 
-    # (row, want): coefficient k of each pinned residue of f_l
-    checks = []
-    for level, (mods, residues, _, _) in enumerate(view._levels, start=1):
-        for mod, residue in zip(mods, residues):
-            checks += zip(_residue_rows(view, level, mod), residue.padded(mod.degree))
+    solution = _solve(_checks(view), d0 + sum(alpha_lens), p)
+    if solution is None:
+        return {}
     # (terms, counts) per free coefficient k: terms pair row k of each selected
     # level with entry coordinate k; counts maps the levels' hash tuple of v to
     # the number of v in F_p producing it.
@@ -272,19 +320,16 @@ def _count_states(view: CoalitionView) -> dict[tuple[int, ...], int]:
             free.append(([(r[k], e[k]) for r, e in zip(rows, padded)], counts))
 
     histogram: dict[tuple[int, ...], int] = {}
-    for digits in vectors(p, d0 + sum(alpha_lens)):
-        for row, want in checks:
-            if sum(map(mul, row, digits)) % p != want:
+    for coords in vectors(p, len(solution[0][1])):
+        digits = [(c + sum(map(mul, w, coords))) % p for c, w in solution]
+        weight = 1
+        for terms, counts in free:
+            weight *= counts[tuple((sum(map(mul, row, digits)) - e) % p for row, e in terms)]
+            if not weight:
                 break
-        else:
-            weight = 1
-            for terms, counts in free:
-                weight *= counts[tuple((sum(map(mul, row, digits)) - e) % p for row, e in terms)]
-                if not weight:
-                    break
-            if weight:
-                secret = digits[:d0]
-                histogram[secret] = histogram.get(secret, 0) + weight
+        if weight:
+            secret = tuple(digits[:d0])
+            histogram[secret] = histogram.get(secret, 0) + weight
     return histogram
 
 
@@ -298,8 +343,8 @@ def enumerate_consistent(
     the dealer could have made; a state counts when it reproduces the
     coalition's shares and the masks selected by the view mode. The budget
     bounds that space, `state_count(view)`; the walk itself visits only the
-    p**(d0 + sum of blinding lengths) (secret, blinding) choices and weighs
-    each by its number of matching random vectors.
+    p**(n - rank) (secret, blinding) choices that solve the view's n-digit
+    linear checks and weighs each by its number of matching random vectors.
     """
     budget.check(state_count(view))
     histogram = _count_states(view)
@@ -422,12 +467,13 @@ def crt_bruteforce(
     if states > max_states:
         raise BudgetExceededError(states, max_states)
 
-    reduced = [r % m for r, m in zip(residues, moduli)]
+    checks = []
+    for r, m in zip(residues, moduli):
+        checks += zip(_rows(m, total_degree), (r % m).padded(m.degree))
     matches = []
     for coeffs in vectors(p, total_degree):
-        candidate = Poly(p, coeffs)
-        if all(candidate % m == r for r, m in zip(reduced, moduli)):
-            matches.append(candidate)
+        if all(sum(map(mul, row, coeffs)) % p == want for row, want in checks):
+            matches.append(Poly(p, coeffs))
             if len(matches) > 1:
                 raise ValueError(
                     "congruence system has multiple low-degree solutions; "

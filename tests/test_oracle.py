@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from crtdhss import oracle
+from crtdhss import oracle, scheme
 from crtdhss.errors import BudgetExceededError, NoCrtSolutionError
 from crtdhss.fieldpoly import Poly, crt_combine, vectors
 from crtdhss.oracle import (
@@ -155,6 +155,21 @@ class TestCoalitionView:
         view, _ = observe_coalition(structure, params, {2}, mode=mode, rng=random.Random(0))
         with pytest.raises(ValueError, match=re.escape(f"bulletin entry {key} is not one")):
             with_entry(view, key, Poly(3, [1]))
+
+    @pytest.mark.parametrize("mode", [MODE_COALITION, MODE_FULL])
+    def test_missing_coalition_mask_rejected(self, mode):
+        # every deal publishes (1, 1) for participant 1; without it the view
+        # used to be accepted and the audits raised MissingBulletinEntryError
+        structure = AccessStructure((2, 3), (2, 3))
+        moduli = [Poly(3, c) for c in ([1, 1], [1, 0, 1], [2, 1, 1], [2, 2, 1], [1, 1, 1])]
+        params = PublicParams(3, 1, moduli, hash_backend="table", table_seed=1)
+        view, _ = observe_coalition(structure, params, {1}, mode=mode, rng=random.Random(1))
+        entries = dict(view.bulletin.entries)
+        del entries[(1, 1)]
+        with pytest.raises(ValueError, match=re.escape("bulletin lacks entry (1, 1)")):
+            CoalitionView(
+                structure, params, view.family, view.coalition, view.shares, Bulletin(entries), mode
+            )
 
     def test_impossible_entry_value_still_accepted(self):
         # values stay unchecked: a published key with an entry no deal makes
@@ -456,6 +471,87 @@ class TestReferenceWalk:
             rng = random.Random(2)
             view, _ = observe_coalition(structure, params, coalition, mode=mode, rng=rng)
             assert enumerate_consistent(view) == reference_histogram(view), (coalition, mode)
+
+
+class TestSolve:
+    """The linear solve behind the walk, against brute force and closed forms."""
+
+    def test_solution_set_equals_brute_force(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            p, n = rng.choice((2, 3, 5)), rng.randint(1, 4)
+            checks = [
+                (tuple(rng.randrange(p) for _ in range(n)), rng.randrange(p))
+                for _ in range(rng.randint(0, n + 2))
+            ]
+            if checks and rng.random() < 0.5:  # a dependent row, consistent or not
+                a, b = rng.randrange(1, p), rng.randrange(p)
+                row, want = checks[0]
+                checks.append((tuple(a * c % p for c in row), (a * want + b) % p))
+            expected = {
+                x for x in vectors(p, n)
+                if all(sum(map(mul, row, x)) % p == want for row, want in checks)
+            }
+            solution = oracle._solve(checks, n, p)
+            if solution is None:
+                assert not expected, checks
+                continue
+            points = [
+                tuple((c + sum(map(mul, w, t))) % p for c, w in solution)
+                for t in vectors(p, len(solution[0][1]))
+            ]
+            assert len(set(points)) == len(points) and set(points) == expected, checks
+
+    @pytest.mark.parametrize("mode", [MODE_COALITION, MODE_FULL])
+    def test_overdetermined_level_with_a_tampered_share(self, mode, monkeypatch):
+        # Valid parameters never overdetermine a level: condition iii keeps
+        # the pinned rows within the blindings. Lifting the parameter check,
+        # degrees (1, 1, 2, 3) give members 3 and 4 five rows over four
+        # digits, so the pair opens the secret, and a tampered share leaves
+        # the checks without a solution.
+        monkeypatch.setattr(scheme, "check_params", lambda structure, params: None)
+        structure = AccessStructure((1, 3), (1, 3))
+        moduli = [Poly(3, c) for c in ([1, 1], [2, 1], [1, 0, 1], [1, 2, 0, 1])]
+        params = PublicParams(3, 1, moduli, hash_backend="table", table_seed=1)
+        assert not validate_params(structure, params).ok
+        view, dealt = observe_coalition(structure, params, {3, 4}, mode=mode, rng=random.Random(1))
+        honest = enumerate_consistent(view)
+        assert honest == reference_histogram(view)
+        assert [s for s, count in honest.items() if count] == [dealt]
+        share = list(view.shares[4])
+        share[1] = (share[1] + 1) % 3
+        tampered = CoalitionView(
+            structure, params, view.family, view.coalition, {**view.shares, 4: tuple(share)},
+            view.bulletin, mode,
+        )
+        assert oracle._solve(oracle._checks(tampered), 4, 3) is None
+        histogram = enumerate_consistent(tampered)
+        assert set(histogram.values()) == {0}
+        assert histogram == reference_histogram(tampered)
+
+    def test_coalition_mode_closed_form(self):
+        # every free weight is p in coalition mode: a secret counts
+        # p**(kernel dimension with the secret pinned) * p**(free random
+        # digits), or 0 when pinning it leaves no solution
+        views = [v for v in reference_views() if v.mode == MODE_COALITION]
+        assert len(views) == 64
+        for view in views:
+            structure, params = view.structure, view.params
+            p, d0 = params.p, params.d0
+            alpha_lens, n_random, _ = oracle._state_layout(view)
+            n = d0 + sum(alpha_lens)
+            free = sum(params.degrees[i - 1] for i in range(1, n_random + 1) if i not in view.coalition)
+            theta = preimage_exponent(structure, params, view.coalition)
+            histogram = enumerate_consistent(view)
+            closed = {}
+            for secret in vectors(p, d0):
+                pins = [(tuple(int(j == k) for j in range(n)), s) for k, s in enumerate(secret)]
+                solution = oracle._solve(oracle._checks(view) + pins, n, p)
+                kernel_dim = None if solution is None else len(solution[0][1])
+                closed[secret] = 0 if solution is None else p ** (kernel_dim + free)
+                assert kernel_dim == theta, (p, structure, view.coalition, secret)
+            assert histogram == closed, (p, structure, view.coalition)
+            assert sum(closed.values()) == count_consistent_tuples(view) * p**free
 
 
 def reference_fiber(view, secret):
