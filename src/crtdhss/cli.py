@@ -43,7 +43,8 @@ from .oracle import (
     preimage_exponent,
     state_count,
 )
-from .params import AccessStructure, PublicParams, check_params, generate_moduli, is_authorized
+from .params import AccessStructure, PublicParams, _check_d0, check_params, generate_moduli
+from .params import is_authorized
 from .scheme import deal, reconstruct
 from .yang import yang_attack, yang_deal
 
@@ -118,6 +119,7 @@ def cmd_gen_params(args) -> int:
     degrees = _parse_degrees(args.degrees, structure.n)
     if (args.table_seed is None) == (args.hash_backend == "table"):
         raise ValueError("--table-seed is required exactly when --hash-backend is table")
+    _check_d0(args.d0)  # before the irreducible search, which takes the time
     moduli = generate_moduli(args.p, degrees, _rng(args))
     params = PublicParams(
         p=args.p,

@@ -9,23 +9,24 @@ Primality of p is *not* re-checked by the arithmetic here; parameter
 construction validates it once (see `params`).
 
 The work runs on private kernels over bare coefficient tuples (`_add`,
-`_sub`, `_mul`, `_divmod`, and `_mulmod` for products modulo one fixed
-modulus). A kernel assumes normalized operands of one field, whose p
-its caller passes in (`_divmod` also takes unreduced dividends), checks
-nothing, and reduces lazily: products accumulate unreduced and each output
-coefficient is reduced once. The public layer (`Poly` operators, module
-functions) checks once that all operands share one field, raising
-`FieldMismatchError` otherwise, and wraps kernel results with `_poly`, a
-trusted constructor without the reduction pass and trailing-zero scan of
-`Poly(p, coeffs)`, which stays the only checked entry point. Euclid and the
-CRT (`poly_gcd`, `poly_xgcd`, `_crt_basis`, `crt_combine`) loop on tuples.
+`_sub`, `_mul`, `_divmod`; `_mulmod_by` binds one modulus and multiplies
+residues packed into single ints). A kernel assumes normalized operands of
+one field, whose p its caller passes in (`_divmod` also takes unreduced
+dividends), checks nothing, and reduces lazily: products accumulate
+unreduced and each output coefficient is reduced once. The public layer
+(`Poly` operators, module functions) checks once that all operands share
+one field, raising `FieldMismatchError` otherwise, and wraps kernel
+results with `_poly`, a trusted constructor without the reduction pass and
+trailing-zero scan of `Poly(p, coeffs)`, which stays the only checked
+entry point. Euclid and the CRT (`poly_gcd`, `poly_xgcd`, `_crt_basis`,
+`crt_combine`) loop on tuples.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import FieldMismatchError, NotCoprimeError, NotPairwiseCoprimeError
 
@@ -364,36 +365,50 @@ def crt_combine(residues: Sequence[Poly], moduli: Sequence[Poly]) -> Poly:
     return _poly(p, _divmod(acc, total, p)[1])
 
 
-def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    """a * b mod monic m of degree d >= 1, on lists of exactly d reduced coefficients."""
+def _mulmod_by(modulus: Poly) -> tuple[Callable[[Poly], int], Callable[..., int], Callable[[int], Poly]]:
+    """(pack, mulmod, unpack): the product kernel modulo `modulus` (degree d >= 1).
+
+    A residue packs into one int at w = 2 bits(p) + bits(d) + 1 bits per
+    coefficient (Kronecker substitution). mulmod(x, y, c=0) is x * y + c mod
+    `modulus`, packed: one big-int multiply leaves at most d (p - 1)**2 in a
+    slot; from the top down, each of the d - 1 high slots is reduced once and
+    folded into the d slots below it by x**k = x**(k - d) (x**d mod m), adding
+    at most (d - 1)(p - 1)**2 + c, so no slot reaches 2**w; the d low slots
+    then take one % p each. pack(f) reduces f modulo `modulus` first."""
+    p = modulus.p
+    m = _monic(modulus.coeffs, p)
     d = len(m) - 1
-    prod = [0] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for k in range(2 * d - 2, d - 1, -1):
-        c = prod[k] % p
-        if c:
-            for j in range(d):
-                prod[k - d + j] -= c * m[j]
-    return [c % p for c in prod[:d]]
+    w = 2 * p.bit_length() + d.bit_length() + 1
+    mask, slots = (1 << w) - 1, range(0, d * w, w)
 
+    def pack(f: Poly) -> int:
+        return sum(c << s for c, s in zip((f % modulus).coeffs, slots))
 
-def _kernel_operands(f: Poly, modulus: Poly) -> tuple[list[int], list[int]]:
-    """The monic modulus (same remainders) and f reduced modulo it, as `_mulmod` lists."""
-    return list(modulus.monic().coeffs), list((f % modulus).padded(modulus.degree))
+    low = sum(-c % p << s for c, s in zip(m, slots))  # x**d mod m
+    folds = [(k * w, low << (k - d) * w) for k in range(2 * d - 2, d - 1, -1)]
+
+    def mulmod(x: int, y: int, c: int = 0) -> int:
+        prod = x * y + c
+        for shift, row in folds:
+            prod += (prod >> shift & mask) % p * row
+        v = 0
+        for s in reversed(slots):
+            v = v << w | (prod >> s & mask) % p
+        return v
+
+    def unpack(v: int) -> Poly:
+        return _poly(p, _trim([(v >> s & mask) % p for s in slots]))
+
+    return pack, mulmod, unpack
 
 
 def _compose_mod(g: Poly, h: Poly, modulus: Poly) -> Poly:
     """g(h) mod `modulus` (degree >= 1) by Horner's rule on the kernel."""
-    m, hl = _kernel_operands(h, modulus)
-    p = modulus.p
-    acc = [0] * modulus.degree
+    pack, mulmod, unpack = _mulmod_by(modulus)
+    hv, acc = pack(h), 0
     for c in reversed(g.coeffs):
-        acc = _mulmod(acc, hl, m, p)
-        acc[0] = (acc[0] + c) % p
-    return _poly(p, _trim(acc))
+        acc = mulmod(acc, hv, c)
+    return unpack(acc)
 
 
 def pow_mod(base: Poly, exponent: int, modulus: Poly) -> Poly:
@@ -402,11 +417,10 @@ def pow_mod(base: Poly, exponent: int, modulus: Poly) -> Poly:
         raise ValueError("negative exponents are not supported")
     if modulus.degree < 1:
         return base % modulus  # raises for a zero modulus; all else is 0 modulo a unit
-    m, b = _kernel_operands(base, modulus)
-    p = modulus.p
-    result = [1] + [0] * (modulus.degree - 1)
+    pack, mulmod, unpack = _mulmod_by(modulus)
+    b, result = pack(base), 1
     for bit in bin(exponent)[2:]:
-        result = _mulmod(result, result, m, p)
+        result = mulmod(result, result)
         if bit == "1":
-            result = _mulmod(result, b, m, p)
-    return _poly(p, _trim(result))
+            result = mulmod(result, b)
+    return unpack(result)

@@ -33,6 +33,12 @@ MAX_PRIME = 2**64 - 1
 _ENUMERATION_CUTOFF = 1 << 12
 
 
+def _check_d0(d0: int) -> None:
+    """Refuse a secret degree bound below 1."""
+    if d0 < 1:
+        raise ValueError("secret degree bound must be at least 1")
+
+
 def _check_field(p: int) -> None:
     """Refuse p unless it is a prime that fits in 64 bits, checking the size first."""
     if p > MAX_PRIME:
@@ -102,8 +108,7 @@ class PublicParams:
     def __post_init__(self):
         object.__setattr__(self, "moduli", tuple(self.moduli))
         _check_field(self.p)
-        if self.d0 < 1:
-            raise ValueError("secret degree bound must be at least 1")
+        _check_d0(self.d0)
         if not self.moduli:
             raise ValueError("at least one modulus is required")
         for m in self.moduli:
@@ -257,9 +262,9 @@ def is_irreducible(f: Poly) -> bool:
 
     f is reducible iff it has an irreducible factor of degree k <= deg(f)/2,
     which is detected by gcd(x^(p^k) - x, f) != 1, tried for k = 1, 2, ...
-    so that most reducible candidates exit at k = 1. Only x^p mod f costs a
-    `pow_mod`: Frobenius is F_p-linear, so if u(x) = x^(p^(k-1)) mod f then
-    x^(p^k) = u(x)^p = u(x^p) mod f, a composition of deg f kernel products.
+    so that most reducible candidates exit at k = 1, on x^p mod f from one
+    `pow_mod`. Frobenius is F_p-linear, so if u(x) = x^(p^(k-1)) mod f then
+    x^(p^k) = u(x)^p = u(x^p) mod f: each k >= 2 costs one composition.
     """
     d = f.degree
     if d < 1:
@@ -268,14 +273,13 @@ def is_irreducible(f: Poly) -> bool:
         return True
     p = f.p
     x = Poly.x_power(p, 1)
-    frobenius = pow_mod(x, p, f)
-    u = x
     one = Poly.one(p)
-    for _ in range(d // 2):
-        u = _compose_mod(u, frobenius, f)
+    u = frobenius = pow_mod(x, p, f)
+    for _ in range(d // 2 - 1):
         if poly_gcd(u - x, f) != one:
             return False
-    return True
+        u = _compose_mod(u, frobenius, f)
+    return poly_gcd(u - x, f) == one
 
 
 def _linear_moduli(p: int, count: int, rng: random.Random) -> list[Poly]:

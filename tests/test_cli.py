@@ -85,6 +85,24 @@ class TestGenParams:
         assert "64 bits" in err
         assert not out.exists()
 
+    def test_zero_d0_refused_before_the_moduli_search(self, tmp_path, capsys, monkeypatch):
+        searches = []
+        monkeypatch.setattr(
+            "crtdhss.cli.generate_moduli", lambda *args: searches.append(args) or ()
+        )
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys,
+            "gen-params",
+            "--p", str(2**61 - 1), "--levels", "3,4", "--thresholds", "2,3",
+            "--degrees", "4x7", "--d0", "0", "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err == "error: secret degree bound must be at least 1\n"
+        assert not out.exists()
+        assert searches == []
+
     def test_table_backend_above_field_limit_exit_2_and_no_file(self, tmp_path, capsys):
         # the file used to be written, then refused by every later command
         out = tmp_path / "x.json"

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_div, gf_gcdex, gf_mul, gf_pow_mod, gf_rem
+from sympy.polys.galoistools import (
+    gf_compose_mod,
+    gf_div,
+    gf_gcdex,
+    gf_mul,
+    gf_pow_mod,
+    gf_rem,
+)
 
 from crtdhss.errors import (
     FieldMismatchError,
@@ -16,6 +23,7 @@ from crtdhss.errors import (
 )
 from crtdhss.fieldpoly import (
     Poly,
+    _compose_mod,
     crt_combine,
     inverse_mod,
     is_pairwise_coprime,
@@ -436,6 +444,68 @@ class TestSympyCrossCheck:
             # gf_pow_mod leaves x**0 = 1 unreduced modulo a constant m
             expected = gf_rem(gf_pow_mod(_desc(a), exponent, _desc(m), a.p, ZZ), _desc(m), a.p, ZZ)
             assert _desc(pow_mod(a, exponent, m)) == expected
+
+    def test_compose_mod(self):
+        rng = random.Random(11)
+        for g, m in CROSS_PAIRS:
+            if m.degree < 1:
+                continue
+            p = g.p
+            # h reaches three degrees above m, so the kernel reduces it first
+            h = Poly(p, [rng.randrange(p) for _ in range(rng.randint(0, m.degree + 3))])
+            expected = gf_compose_mod(_desc(g), _desc(h), _desc(m), p, ZZ)
+            assert _desc(_compose_mod(g, h, m)) == expected
+
+
+# -- the packed product kernel at its widest slots ----------------------------
+
+WIDEST_P = 2**64 - 59  # the largest prime that params.MAX_PRIME = 2**64 - 1 admits
+
+
+class TestPackingWidth:
+    """A slot of the packed kernel must hold (2d - 1)(p - 1)**2: d products and
+    d - 1 folds of the high slots. These cases come close to that bound at the
+    largest admitted p, at every modulus degree from 1 to 8. At d = 3, 5, 6
+    and 7 a slot one bit narrower overflows on the near-full cases; at d = 1,
+    2, 4 and 8 it would still hold, as 2d - 1 < 2**bits(d) there."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_every_coefficient_p_minus_1(self, d):
+        p = WIDEST_P
+        full = Poly(p, [p - 1] * (d + 1))
+        below = Poly(p, [p - 1] * d)
+        for f in (full, below):
+            for exponent in (2, 3, p - 1, p):
+                assert _desc(pow_mod(f, exponent, full)) == gf_pow_mod(
+                    _desc(f), exponent, _desc(full), p, ZZ
+                )
+            expected = gf_compose_mod(_desc(f), _desc(below), _desc(full), p, ZZ)
+            assert _desc(_compose_mod(f, below, full)) == expected
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_near_full_operands(self, d):
+        # Coefficients p - 1 - e with e below 2**32 keep every product near
+        # (p - 1)**2 while the high slots reduce to arbitrary residues. A
+        # monic modulus with low coefficients below 2**32 has x**d mod m near
+        # p - 1 everywhere, so the folds land near (p - 1)**2 as well.
+        p = WIDEST_P
+        rng = random.Random(d)
+        for k in range(60):
+            low = [rng.randrange(2**32) if k % 2 else rng.randrange(p) for _ in range(d)]
+            m = Poly(p, low + [1 if k % 2 else rng.randrange(1, p)])
+            a, h = (Poly(p, [p - 1 - rng.randrange(2**32) for _ in range(d)]) for _ in "ah")
+            assert _desc(pow_mod(a, 2, m)) == gf_pow_mod(_desc(a), 2, _desc(m), p, ZZ)
+            expected = gf_compose_mod(_desc(a), _desc(h), _desc(m), p, ZZ)
+            assert _desc(_compose_mod(a, h, m)) == expected
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_frobenius_over_mersenne_61(self, d):
+        p = 2**61 - 1
+        rng = random.Random(100 + d)
+        x = Poly.x_power(p, 1)
+        for _ in range(5):
+            f = Poly(p, [rng.randrange(p) for _ in range(d)] + [1])
+            assert _desc(pow_mod(x, p, f)) == gf_pow_mod(_desc(x), p, _desc(f), p, ZZ)
 
 
 # -- the trusted constructor: every result is normalized --------------------
