@@ -43,7 +43,7 @@ from .oracle import (
     preimage_exponent,
     state_count,
 )
-from .params import AccessStructure, PublicParams, _check_d0, check_params, generate_moduli
+from .params import AccessStructure, PublicParams, _check_settings, check_params, generate_moduli
 from .params import is_authorized
 from .scheme import deal, reconstruct
 from .yang import yang_attack, yang_deal
@@ -119,7 +119,7 @@ def cmd_gen_params(args) -> int:
     degrees = _parse_degrees(args.degrees, structure.n)
     if (args.table_seed is None) == (args.hash_backend == "table"):
         raise ValueError("--table-seed is required exactly when --hash-backend is table")
-    _check_d0(args.d0)  # before the irreducible search, which takes the time
+    _check_settings(args.p, args.d0, args.hash_backend, args.table_seed)  # before the search
     moduli = generate_moduli(args.p, degrees, _rng(args))
     params = PublicParams(
         p=args.p,
@@ -199,13 +199,14 @@ def cmd_analyze(args) -> int:
     p, d0 = params.p, params.d0
     expected_fiber = p**theta
     expected_total = p ** (theta + d0)
+    budget.check(expected_fiber)
+    budget.check(expected_total)
 
     preimage_counts = {
         " ".join(str(c) for c in secret): count_secret_preimages(view, secret, budget)
         for secret in vectors(p, d0)
     }
     # A tuple opens to exactly one secret, so the fibers sum to the tuple count.
-    budget.check(expected_total)
     tuples_total = sum(preimage_counts.values())
 
     histogram = enumerate_consistent(view, budget)

@@ -22,7 +22,9 @@ derives once (`CoalitionView._levels`):
   multiply.
 
 The two viewpoints cross-validate each other; both are exact counts, never
-samples. A state budget guards every enumeration up front.
+samples. A state budget guards every enumeration up front. A view carries
+only masks a deal publishes (`scheme._layout`), over F_p; a member's mask of
+degree d_i or more, which no deal makes, leaves both counts at 0.
 
 View modes:
 
@@ -48,7 +50,8 @@ from .errors import BudgetExceededError, NoCrtSolutionError
 from .fieldpoly import Poly, crt_combine, vectors
 from .hashing import HashFamily, family_from_params
 from .params import AccessStructure, PublicParams, is_authorized
-from .scheme import Bulletin, Share, _check_secret, _check_setup, _pool_shares, deal, unmask_share
+from .scheme import Bulletin, Share, _check_secret, _check_setup, _layout, _pool_shares
+from .scheme import deal, unmask_share
 
 MODE_COALITION = "coalition"
 MODE_FULL = "full"
@@ -76,7 +79,9 @@ DEFAULT_BUDGET = EnumerationBudget()
 
 @dataclass(frozen=True)
 class CoalitionView:
-    """What an unauthorized coalition sees: its shares plus the bulletin."""
+    """What an unauthorized coalition sees: its shares plus the bulletin. A key no
+    deal publishes, a missing member mask or a foreign-field entry is refused; a
+    member's unreduced same-field entry is kept, and both counts find 0 for it."""
 
     structure: AccessStructure
     params: PublicParams
@@ -103,14 +108,15 @@ class CoalitionView:
         if set(self.shares) != set(self.coalition):
             raise ValueError("exactly the coalition members' shares are required")
         _check_setup(self.structure, self.params, self.family)
-        bounds = [min(n, _state_layout(self)[1]) for n in self.structure.prefix_counts]
-        published = {(l, i) for l, b in enumerate(bounds, start=1) for i in range(1, b + 1)}
-        for key in self.bulletin.entries:  # a deal publishes (l, i), i <= min(N_l, N_{m-1})
+        published = _layout(self.structure, self.params)[2]
+        for key, entry in self.bulletin.entries.items():
             if key not in published:
                 raise ValueError(f"bulletin entry {key} is not one a deal publishes")
-        missing = sorted(k for k in published if k[1] in self.coalition and k not in self.bulletin)
-        if missing:
-            raise ValueError(f"bulletin lacks entry {missing[0]}, which every deal publishes")
+            if entry.p != self.params.p:
+                raise ValueError(f"bulletin entry {key} is not over F_{self.params.p}")
+        for key in published:
+            if key[1] in self.coalition and key not in self.bulletin:
+                raise ValueError(f"bulletin lacks entry {key}, which every deal publishes")
         _pool_shares(self.structure, self.params, _member_shares(self))
 
     @functools.cached_property
@@ -124,10 +130,7 @@ class CoalitionView:
         ):
             pinned = [s for s in shares if s.participant <= bound]
             mods = [params.moduli[s.participant - 1] for s in pinned]
-            residues = [
-                unmask_share(self.family, self.bulletin, s, level) % mod
-                for s, mod in zip(pinned, mods)
-            ]
+            residues = [unmask_share(self.family, self.bulletin, s, level) for s in pinned]
             step = functools.reduce(mul, mods, params.secret_modulus)
             levels.append((mods, residues, step, sum(params.degrees[:t])))
         return tuple(levels)
@@ -197,21 +200,11 @@ def preimage_exponent(structure: AccessStructure, params: PublicParams, coalitio
 # ---------------------------------------------------------------------------
 
 
-def _state_layout(view: CoalitionView):
-    """Digit layout of one dealer state: secret, blindings, random vectors."""
-    structure, params = view.structure, view.params
-    degrees = params.degrees
-    m = structure.m
-    n_random = structure.prefix_counts[m - 2] if m > 1 else 0
-    alpha_lens = [sum(degrees[:t]) - params.d0 for t in structure.thresholds]
-    total_digits = params.d0 + sum(alpha_lens) + sum(degrees[:n_random])
-    return alpha_lens, n_random, total_digits
-
-
 def state_count(view: CoalitionView) -> int:
     """Number of dealer-randomness states behind one transcript."""
-    _, _, total_digits = _state_layout(view)
-    return view.params.p**total_digits
+    params = view.params
+    alpha_lens, n_random, _ = _layout(view.structure, params)
+    return params.p ** (params.d0 + sum(alpha_lens) + sum(params.degrees[:n_random]))
 
 
 def _rows(modulus: Poly, count: int) -> list[tuple[int, ...]]:
@@ -229,7 +222,7 @@ def _residue_rows(view: CoalitionView, level: int, modulus: Poly) -> list[tuple[
     x**j mod the modulus is split there and padded with the other levels' zeros.
     """
     d0 = view.params.d0
-    alpha_lens, _, _ = _state_layout(view)
+    alpha_lens = _layout(view.structure, view.params)[0]
     before, after = sum(alpha_lens[: level - 1]), sum(alpha_lens[level:])
     rows = _rows(modulus, d0 + alpha_lens[level - 1])
     return [(*row[:d0], *(0,) * before, *row[d0:], *(0,) * after) for row in rows]
@@ -291,14 +284,15 @@ def _count_states(view: CoalitionView) -> dict[tuple[int, ...], int]:
     """
     params, family, entries = view.params, view.family, view.bulletin.entries
     p, d0, degrees = params.p, params.d0, params.degrees
-    alpha_lens, n_random, _ = _state_layout(view)
+    alpha_lens, _, keys = _layout(view.structure, params)
 
-    levels: dict[int, list[int]] = {i: [] for i in range(1, n_random + 1)}
-    for level, i in sorted(entries):
-        if view.mode == MODE_FULL or i in view.coalition:
-            if entries[(level, i)].p != p or entries[(level, i)].degree >= degrees[i - 1]:
-                return {}  # every dealt entry is reduced mod m_i over F_p
-            levels[i].append(level)
+    levels: dict[int, list[int]] = {}  # random participant -> levels of its selected masks
+    for level, i in keys:
+        selected = levels.setdefault(i, [])
+        if (level, i) in entries and (view.mode == MODE_FULL or i in view.coalition):
+            if entries[(level, i)].degree >= degrees[i - 1]:
+                return {}  # every dealt entry is reduced mod m_i
+            selected.append(level)
 
     solution = _solve(_checks(view), d0 + sum(alpha_lens), p)
     if solution is None:

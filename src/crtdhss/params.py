@@ -33,18 +33,27 @@ MAX_PRIME = 2**64 - 1
 _ENUMERATION_CUTOFF = 1 << 12
 
 
-def _check_d0(d0: int) -> None:
-    """Refuse a secret degree bound below 1."""
-    if d0 < 1:
-        raise ValueError("secret degree bound must be at least 1")
-
-
 def _check_field(p: int) -> None:
     """Refuse p unless it is a prime that fits in 64 bits, checking the size first."""
     if p > MAX_PRIME:
         raise ValueError("field modulus must fit in 64 bits")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+def _check_settings(p: int, d0: int, hash_backend: str, table_seed: Optional[int]) -> None:
+    """Refuse the field, secret degree bound or hash settings of any parameter set."""
+    _check_field(p)
+    if d0 < 1:
+        raise ValueError("secret degree bound must be at least 1")
+    if hash_backend not in ("crypto", "table"):
+        raise ValueError(f"unknown hash backend {hash_backend!r}")
+    if (table_seed is None) == (hash_backend == "table"):
+        raise ValueError("table_seed must be given exactly when hash_backend is 'table'")
+    if table_seed is not None and not 0 <= table_seed < TABLE_SEED_LIMIT:
+        raise ValueError("table seed must fit in 64 bits")
+    if hash_backend == "table" and p > TABLE_FIELD_LIMIT:
+        raise ValueError(f"the table hash backend needs p <= {TABLE_FIELD_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +116,7 @@ class PublicParams:
 
     def __post_init__(self):
         object.__setattr__(self, "moduli", tuple(self.moduli))
-        _check_field(self.p)
-        _check_d0(self.d0)
+        _check_settings(self.p, self.d0, self.hash_backend, self.table_seed)
         if not self.moduli:
             raise ValueError("at least one modulus is required")
         for m in self.moduli:
@@ -116,14 +124,6 @@ class PublicParams:
                 raise ValueError("every modulus must be a polynomial over F_p")
             if m.degree < 1:
                 raise ValueError("every modulus must have degree at least 1")
-        if self.hash_backend not in ("crypto", "table"):
-            raise ValueError(f"unknown hash backend {self.hash_backend!r}")
-        if (self.table_seed is None) == (self.hash_backend == "table"):
-            raise ValueError("table_seed must be given exactly when hash_backend is 'table'")
-        if self.table_seed is not None and not 0 <= self.table_seed < TABLE_SEED_LIMIT:
-            raise ValueError("table seed must fit in 64 bits")
-        if self.hash_backend == "table" and self.p > TABLE_FIELD_LIMIT:
-            raise ValueError(f"the table hash backend needs p <= {TABLE_FIELD_LIMIT}")
 
     @functools.cached_property
     def degrees(self) -> tuple[int, ...]:

@@ -5,7 +5,8 @@ secret modulo x**d0. Participants above the bottom level hold uniformly
 random vectors; bottom-level participants hold residues of f_m. Published
 masks let a share act as a residue of f_l after hash-unmasking, so any
 coalition meeting some level's threshold can CRT-reconstruct f_l and read
-the secret off its low-order coefficients.
+the secret off its low-order coefficients. `_layout` alone states what a
+deal draws and publishes; the deal and the auditor (`oracle`) both read it.
 
 Secrets and shares are fixed-length coefficient vectors, not normalized
 polynomials: the coefficient-wise hash must cover trailing zeros too.
@@ -105,6 +106,16 @@ def _draw_vector(rng: random.Random, p: int, length: int) -> tuple[int, ...]:
     return tuple(rng.randrange(p) for _ in range(length))
 
 
+def _layout(structure: AccessStructure, params: PublicParams) -> tuple[list, int, list]:
+    """What a deal draws and publishes: alpha_l's length per level, N_{m-1} (random vectors
+    go to 1..N_{m-1}) and each mask's key (l, i), i <= min(N_l, N_{m-1}), in publication order."""
+    prefix, degrees = structure.prefix_counts, params.degrees
+    n_random = prefix[-2] if structure.m > 1 else 0
+    alpha_lens = [sum(degrees[:t]) - params.d0 for t in structure.thresholds]
+    keys = [(l, i) for l, bound in enumerate(prefix, 1) for i in range(1, min(bound, n_random) + 1)]
+    return alpha_lens, n_random, keys
+
+
 def _master_polys(
     structure: AccessStructure,
     params: PublicParams,
@@ -112,11 +123,9 @@ def _master_polys(
     rng: random.Random,
 ) -> tuple[Poly, ...]:
     # Draw order: alpha_1..alpha_m, then the random share vectors (caller).
-    degrees = params.degrees
     s_poly = Poly(params.p, secret)
     polys = []
-    for t in structure.thresholds:
-        alpha_len = sum(degrees[:t]) - params.d0
+    for alpha_len in _layout(structure, params)[0]:
         alpha = Poly(params.p, _draw_vector(rng, params.p, alpha_len))
         f = s_poly + alpha.shift(params.d0)
         assert f % params.secret_modulus == s_poly % params.secret_modulus
@@ -135,25 +144,20 @@ def deal_with_internals(
     _check_setup(structure, params, family)
     vector = _check_secret(params, secret)
     masters = _master_polys(structure, params, vector, rng)
-
-    m = structure.m
-    degrees = params.degrees
-    prefix = structure.prefix_counts
-    n_random = prefix[m - 2] if m > 1 else 0  # N_{m-1}
+    _, n_random, keys = _layout(structure, params)
 
     shares = []
     for i in range(1, structure.n + 1):
         if i <= n_random:
-            coeffs = _draw_vector(rng, params.p, degrees[i - 1])
+            coeffs = _draw_vector(rng, params.p, params.degrees[i - 1])
         else:
-            coeffs = (masters[m - 1] % params.moduli[i - 1]).padded(degrees[i - 1])
+            coeffs = (masters[-1] % params.moduli[i - 1]).padded(params.degrees[i - 1])
         shares.append(Share(i, structure.level_of(i), coeffs))
 
     entries: dict[tuple[int, int], Poly] = {}
-    for level, f in enumerate(masters, start=1):
-        for i in range(1, min(prefix[level - 1], n_random) + 1):
-            masked = family.hash_poly(level, shares[i - 1].coeffs)
-            entries[(level, i)] = (f - masked) % params.moduli[i - 1]
+    for level, i in keys:
+        masked = family.hash_poly(level, shares[i - 1].coeffs)
+        entries[(level, i)] = (masters[level - 1] - masked) % params.moduli[i - 1]
 
     return tuple(shares), Bulletin(entries), masters
 

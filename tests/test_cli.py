@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtdhss import oracle
 from crtdhss import params as params_module
 from crtdhss.cli import build_parser, main
 from crtdhss.fileio import load_bulletin, load_params, load_share, save_share
@@ -85,7 +86,26 @@ class TestGenParams:
         assert "64 bits" in err
         assert not out.exists()
 
-    def test_zero_d0_refused_before_the_moduli_search(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--d0", "0"), "secret degree bound must be at least 1"),
+            (
+                ("--hash-backend", "table", "--table-seed", "5"),
+                "the table hash backend needs p <= 1048576",
+            ),
+            (("--hash-backend", "table", "--table-seed", "-1"), "table seed must fit in 64 bits"),
+            (
+                ("--hash-backend", "table", "--table-seed", str(2**64)),
+                "table seed must fit in 64 bits",
+            ),
+        ],
+        ids=["d0-0", "table-above-field-limit", "table-seed-negative", "table-seed-2^64"],
+    )
+    def test_settings_refused_before_the_moduli_search(
+        self, tmp_path, capsys, monkeypatch, extra, message
+    ):
+        # only --d0 0 used to be refused before the search at 2^61 - 1 ran
         searches = []
         monkeypatch.setattr(
             "crtdhss.cli.generate_moduli", lambda *args: searches.append(args) or ()
@@ -95,11 +115,11 @@ class TestGenParams:
             capsys,
             "gen-params",
             "--p", str(2**61 - 1), "--levels", "3,4", "--thresholds", "2,3",
-            "--degrees", "4x7", "--d0", "0", "--seed", "1",
+            "--degrees", "4x7", "--seed", "1", *extra,
             "--out", str(out),
         )
         assert code == 2
-        assert err == "error: secret degree bound must be at least 1\n"
+        assert err == f"error: {message}\n"
         assert not out.exists()
         assert searches == []
 
@@ -605,6 +625,24 @@ class TestAnalyze:
                 assert code == 7
                 assert out == ""
                 assert err == f"error: enumeration needs {needs} states, budget allows {budget}\n"
+
+    def test_budget_checked_before_any_fiber_scan(self, tmp_path, capsys, monkeypatch):
+        # each fiber fits a budget of 2 but the 3 tuples do not; the three
+        # fibers used to be scanned before the total was checked
+        params_path = self.gen_tiny_params(tmp_path, capsys)
+        scans = []
+        monkeypatch.setattr(oracle, "_scan_fiber", lambda *args: scans.append(args) or 1)
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "--params", str(params_path),
+            "--coalition", "2",
+            "--seed", "4",
+            "--budget", "2",
+        )
+        assert (code, out) == (7, "")
+        assert err == "error: enumeration needs 3 states, budget allows 2\n"
+        assert scans == []
 
     def test_successive_calls_do_not_leak_arguments(self, tmp_path, capsys):
         params_path = self.gen_tiny_params(tmp_path, capsys)

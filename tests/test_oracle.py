@@ -69,6 +69,15 @@ def tiny_state_setup():
     return make_setup(3, (1, 2), (1, 2), [1, 2, 2])
 
 
+# Levels (2,3)/(2,3) over F_3, so participants 1 and 2 hold random vectors
+def two_random_setup():
+    structure = AccessStructure((2, 3), (2, 3))
+    moduli = [Poly(3, c) for c in ([1, 1], [1, 0, 1], [2, 1, 1], [2, 2, 1], [1, 1, 1])]
+    params = PublicParams(3, 1, moduli, hash_backend="table", table_seed=1)
+    assert validate_params(structure, params).ok
+    return structure, params
+
+
 class TestPreimageExponent:
     def test_reference_two_level_coalition(self):
         structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7)
@@ -171,8 +180,17 @@ class TestCoalitionView:
                 structure, params, view.family, view.coalition, view.shares, Bulletin(entries), mode
             )
 
+    @pytest.mark.parametrize("mode", [MODE_COALITION, MODE_FULL])
+    def test_entry_outside_field_rejected(self, mode):
+        # used to be accepted: the walk found no state and the tuple count
+        # raised FieldMismatchError
+        structure, params = two_random_setup()
+        view, _ = observe_coalition(structure, params, {1}, mode=mode, rng=random.Random(1))
+        with pytest.raises(ValueError, match=re.escape("bulletin entry (1, 1) is not over F_3")):
+            with_entry(view, (1, 1), Poly(5, [1]))
+
     def test_impossible_entry_value_still_accepted(self):
-        # values stay unchecked: a published key with an entry no deal makes
+        # same-field values stay unchecked: a published key with an entry no deal makes
         structure, params = tiny_state_setup()
         view, _ = observe_coalition(structure, params, {2}, mode=MODE_FULL, rng=random.Random(0))
         assert with_entry(view, (2, 1), Poly(3, [1, 1])).bulletin.entries[(2, 1)] == Poly(3, [1, 1])
@@ -538,7 +556,7 @@ class TestSolve:
         for view in views:
             structure, params = view.structure, view.params
             p, d0 = params.p, params.d0
-            alpha_lens, n_random, _ = oracle._state_layout(view)
+            alpha_lens, n_random, _ = scheme._layout(structure, params)
             n = d0 + sum(alpha_lens)
             free = sum(params.degrees[i - 1] for i in range(1, n_random + 1) if i not in view.coalition)
             theta = preimage_exponent(structure, params, view.coalition)
@@ -687,6 +705,23 @@ class TestTupleCounts:
         ]
         assert counts == expected
         assert 0 in expected and sum(expected) == params.p**theta
+
+    @pytest.mark.parametrize("mode", [MODE_COALITION, MODE_FULL])
+    def test_unreduced_entry_counts_zero_in_both_counts(self, mode):
+        # entry (1, 1) + m_1 has the entry's residue but degree >= d_1, so no
+        # deal publishes it; the walk found no state while the tuple count,
+        # reducing each unmasked residue, found 243 tuples
+        structure, params = two_random_setup()
+        view, _ = observe_coalition(structure, params, {1}, mode=mode, rng=random.Random(1))
+        unreduced = with_entry(view, (1, 1), view.bulletin.entries[(1, 1)] + params.moduli[0])
+        histogram = enumerate_consistent(unreduced)
+        assert set(histogram.values()) == {0}
+        assert count_consistent_tuples(unreduced) == 0
+        if mode == MODE_COALITION:
+            # each tuple stands for 3**2 states: participant 2's random vector
+            assert sum(histogram.values()) == count_consistent_tuples(unreduced) * 3**2
+            honest = sum(enumerate_consistent(view).values())
+            assert honest == count_consistent_tuples(view) * 3**2 == 243 * 3**2
 
     def test_zero_exponent_leaves_single_tuple_per_secret(self):
         structure, params = tiny_state_setup()
