@@ -30,13 +30,12 @@ from .errors import (
     InsufficientIrreduciblesError,
     UnauthorizedSubsetError,
 )
-from .fieldpoly import vectors
 from .hashing import family_from_params
 from .oracle import (
     MODE_COALITION,
     MODE_FULL,
     EnumerationBudget,
-    count_secret_preimages,
+    count_fibers,
     enumerate_consistent,
     histogram_entropy_bits,
     observe_coalition,
@@ -199,12 +198,11 @@ def cmd_analyze(args) -> int:
     p, d0 = params.p, params.d0
     expected_fiber = p**theta
     expected_total = p ** (theta + d0)
-    budget.check(expected_fiber)
-    budget.check(expected_total)
+    budget.check(expected_fiber)  # count_fibers checks expected_total before any scan
 
     preimage_counts = {
-        " ".join(str(c) for c in secret): count_secret_preimages(view, secret, budget)
-        for secret in vectors(p, d0)
+        " ".join(str(c) for c in secret): count
+        for secret, count in count_fibers(view, budget).items()
     }
     # A tuple opens to exactly one secret, so the fibers sum to the tuple count.
     tuples_total = sum(preimage_counts.values())

@@ -15,11 +15,11 @@ derives once (`CoalitionView._levels`):
   random vector outside the coalition meets the view only through its
   hashes, one coefficient at a time, so it is weighed, not walked, by the
   number of its hash preimages.
-- `count_consistent_tuples` / `count_secret_preimages` count candidate
-  master-polynomial tuples, parameterized by their free coefficients,
-  verifying the coalition's algebraic constraints on each. The levels share
-  only the secret, so each level is scanned alone and the per-level counts
-  multiply.
+- `count_fibers` counts candidate master-polynomial tuples per secret
+  (`count_secret_preimages` and `count_consistent_tuples` read its scan),
+  each parameterized by its free coefficients and re-verified against the
+  coalition's algebraic constraints. The levels share only the secret, so
+  each is scanned alone, once for every secret, and the counts multiply.
 
 The two viewpoints cross-validate each other; both are exact counts, never
 samples. A state budget guards every enumeration up front. A view carries
@@ -30,10 +30,10 @@ View modes:
 
 - "coalition": a dealer state must reproduce the coalition's own shares
   and the bulletin entries published for coalition members.
-- "full": additionally every remaining bulletin entry must match, which
-  drags the hash function's preimage structure into the count. This is
-  decidable only under the table hash backend, where all p inputs per
-  coefficient can be enumerated.
+- "full": additionally every remaining bulletin entry must be present and
+  match, which drags the hash function's preimage structure into the
+  count. This is decidable only under the table hash backend, where all p
+  inputs per coefficient can be enumerated.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ DEFAULT_BUDGET = EnumerationBudget()
 @dataclass(frozen=True)
 class CoalitionView:
     """What an unauthorized coalition sees: its shares plus the bulletin. A key no
-    deal publishes, a missing member mask or a foreign-field entry is refused; a
-    member's unreduced same-field entry is kept, and both counts find 0 for it."""
+    deal publishes, a missing mask the mode reads (a member's; in full mode any) or
+    a foreign-field entry is refused; a member's unreduced same-field entry is
+    kept, and both counts find 0 for it."""
 
     structure: AccessStructure
     params: PublicParams
@@ -115,7 +116,7 @@ class CoalitionView:
             if entry.p != self.params.p:
                 raise ValueError(f"bulletin entry {key} is not over F_{self.params.p}")
         for key in published:
-            if key[1] in self.coalition and key not in self.bulletin:
+            if (self.mode == MODE_FULL or key[1] in self.coalition) and key not in self.bulletin:
                 raise ValueError(f"bulletin lacks entry {key}, which every deal publishes")
         _pool_shares(self.structure, self.params, _member_shares(self))
 
@@ -289,7 +290,7 @@ def _count_states(view: CoalitionView) -> dict[tuple[int, ...], int]:
     levels: dict[int, list[int]] = {}  # random participant -> levels of its selected masks
     for level, i in keys:
         selected = levels.setdefault(i, [])
-        if (level, i) in entries and (view.mode == MODE_FULL or i in view.coalition):
+        if view.mode == MODE_FULL or i in view.coalition:
             if entries[(level, i)].degree >= degrees[i - 1]:
                 return {}  # every dealt entry is reduced mod m_i
             selected.append(level)
@@ -350,34 +351,52 @@ def enumerate_consistent(
 # ---------------------------------------------------------------------------
 
 
-def _scan_fiber(view: CoalitionView, secret: tuple[int, ...]) -> int:
-    """Count consistent master tuples whose bottom poly opens to `secret`.
+def _scan_fibers(view: CoalitionView, secrets: Sequence[tuple[int, ...]]) -> dict:
+    """{secret: consistent master tuples whose bottom poly opens to it}, one pass per level.
 
     Levels share nothing but the secret, so each f_l is scanned on its own
-    over the free coefficients its congruences leave, and the counts
-    multiply. Every candidate is re-verified against each constraint before
+    and the counts multiply. CRT is linear, so the candidates for secret s
+    are base + sum s_j unit_j + sum t_k x**k step, base solving the members'
+    residues with 0 in the secret slot and unit_j solving x**j there and 0
+    elsewhere. Every candidate is re-verified against each constraint before
     it counts; the parameterization proposes, the conditions dispose.
     """
-    p, x_d0 = view.params.p, view.params.secret_modulus
-    s_poly = Poly(p, secret)
-    count = 1
+    p, d0, x_d0 = view.params.p, view.params.d0, view.params.secret_modulus
+    counts = dict.fromkeys(secrets, 1)
     for mods, residues, step, cap in view._levels:
-        base = crt_combine([s_poly, *residues], [x_d0, *mods])
-        seen = set()
-        # A negative free length leaves k = 0 as the only candidate; the
+        if any(r.degree >= mod.degree for mod, r in zip(mods, residues)):
+            return dict.fromkeys(secrets, 0)  # no candidate meets an unreduced residue
+        # A negative free length leaves t = () as the only candidate; the
         # degree-cap check rejects it when the base does not fit.
-        for digits in vectors(p, max(0, cap - step.degree)):
-            g = base + Poly(p, digits) * step
-            if (
-                g.degree < cap
-                and g % x_d0 == s_poly
-                and all(g % mod == r for mod, r in zip(mods, residues))
-            ):
-                if g.coeffs in seen:
+        free, moduli, zeros = max(0, cap - step.degree), [x_d0, *mods], [Poly(p)] * len(mods)
+        vecs = [crt_combine([Poly(p), *residues], moduli)]
+        vecs += [crt_combine([Poly.x_power(p, j), *zeros], moduli) for j in range(d0)]
+        vecs += [Poly.x_power(p, k) * step for k in range(free)]
+        length = max(cap, *(len(v.coeffs) for v in vecs))
+        columns = list(zip(*(v.padded(length) for v in vecs)))
+        checks = [(_rows(m, length), [*r.padded(m.degree)]) for m, r in zip(mods, residues)]
+        seen = set()
+        for secret in secrets:
+            before = len(seen)
+            for t in vectors(p, free):
+                digits = (1, *secret, *t)
+                g = tuple([sum(map(mul, digits, column)) % p for column in columns])
+                if any(g[cap:]) or g[:d0] != secret or any(
+                    [sum(map(mul, row, g)) % p for row in rows] != want for rows, want in checks
+                ):
+                    continue
+                if g in seen:
                     raise AssertionError("free-coefficient parameterization collided")
-                seen.add(g.coeffs)
-        count *= len(seen)
-    return count
+                seen.add(g)
+            counts[secret] *= len(seen) - before
+    return counts
+
+
+def count_fibers(view: CoalitionView, budget: EnumerationBudget = DEFAULT_BUDGET) -> dict:
+    """Exact number of master tuples consistent with the view, per secret they open to."""
+    p, d0 = view.params.p, view.params.d0
+    budget.check(p ** (preimage_exponent(view.structure, view.params, view.coalition) + d0))
+    return _scan_fibers(view, list(vectors(p, d0)))
 
 
 def count_secret_preimages(
@@ -388,7 +407,7 @@ def count_secret_preimages(
     """Exact number of master tuples consistent with the view opening to one secret."""
     vector = _check_secret(view.params, secret)
     budget.check(view.params.p ** preimage_exponent(view.structure, view.params, view.coalition))
-    return _scan_fiber(view, vector)
+    return _scan_fibers(view, [vector])[vector]
 
 
 def count_consistent_tuples(
@@ -396,9 +415,7 @@ def count_consistent_tuples(
     budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> int:
     """Exact number of master tuples consistent with the view."""
-    p, d0 = view.params.p, view.params.d0
-    budget.check(p ** (preimage_exponent(view.structure, view.params, view.coalition) + d0))
-    return sum(_scan_fiber(view, secret) for secret in vectors(p, d0))
+    return sum(count_fibers(view, budget).values())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -631,7 +632,7 @@ class TestAnalyze:
         # fibers used to be scanned before the total was checked
         params_path = self.gen_tiny_params(tmp_path, capsys)
         scans = []
-        monkeypatch.setattr(oracle, "_scan_fiber", lambda *args: scans.append(args) or 1)
+        monkeypatch.setattr(oracle, "_scan_fibers", lambda *args: scans.append(args) or 1)
         code, out, err = run(
             capsys,
             "analyze",
@@ -643,6 +644,28 @@ class TestAnalyze:
         assert (code, out) == (7, "")
         assert err == "error: enumeration needs 3 states, budget allows 2\n"
         assert scans == []
+
+    @pytest.mark.parametrize("mode", ["coalition", "full"])
+    def test_preimage_counts_equal_the_per_secret_counts(self, tmp_path, capsys, mode):
+        # analyze counts every secret's fiber in one pass per level; coalition
+        # {3} leaves one free coefficient, so each fiber holds 3 tuples
+        params_path = tmp_path / "params.json"
+        code, _, _ = run(
+            capsys,
+            "gen-params",
+            "--p", "3", "--levels", "2,2", "--thresholds", "1,2",
+            "--degrees", "2,2,3,3", "--seed", "1",
+            "--hash-backend", "table", "--table-seed", "2",
+            "--out", str(params_path),
+        )
+        assert code == 0
+        analyze = ["analyze", "--params", str(params_path), "--coalition", "3"]
+        code, out, _ = run(capsys, *analyze, "--mode", mode, "--seed", "5")
+        assert code == 0
+        structure, params = load_params(params_path)
+        view, _ = oracle.observe_coalition(structure, params, {3}, mode, random.Random(5))
+        expected = {f"{s}": oracle.count_secret_preimages(view, (s,)) for s in range(3)}
+        assert json.loads(out)["preimage_counts"] == expected == {"0": 3, "1": 3, "2": 3}
 
     def test_successive_calls_do_not_leak_arguments(self, tmp_path, capsys):
         params_path = self.gen_tiny_params(tmp_path, capsys)

@@ -17,6 +17,7 @@ from crtdhss.oracle import (
     CoalitionView,
     EnumerationBudget,
     count_consistent_tuples,
+    count_fibers,
     count_secret_preimages,
     crt_bruteforce,
     enumerate_consistent,
@@ -179,6 +180,23 @@ class TestCoalitionView:
             CoalitionView(
                 structure, params, view.family, view.coalition, view.shares, Bulletin(entries), mode
             )
+
+    def test_full_mode_needs_every_published_mask(self):
+        # full mode reads every mask a deal publishes; without participant 2's
+        # (2, 2) the view used to be accepted and the walk left that mask
+        # unconstrained, giving {0: 36, 1: 18, 2: 27} for coalition {3}
+        structure, params = two_random_setup()
+        for mode in (MODE_FULL, MODE_COALITION):
+            view, _ = observe_coalition(structure, params, {3}, mode=mode, rng=random.Random(1))
+            entries = dict(view.bulletin.entries)
+            del entries[(2, 2)]
+            fields = (structure, params, view.family, view.coalition, view.shares)
+            if mode == MODE_FULL:
+                with pytest.raises(ValueError, match=re.escape("bulletin lacks entry (2, 2)")):
+                    CoalitionView(*fields, Bulletin(entries), mode)
+            else:
+                thinned = CoalitionView(*fields, Bulletin(entries), mode)
+                assert enumerate_consistent(thinned) == enumerate_consistent(view)
 
     @pytest.mark.parametrize("mode", [MODE_COALITION, MODE_FULL])
     def test_entry_outside_field_rejected(self, mode):
@@ -717,11 +735,61 @@ class TestTupleCounts:
         histogram = enumerate_consistent(unreduced)
         assert set(histogram.values()) == {0}
         assert count_consistent_tuples(unreduced) == 0
+        assert count_fibers(unreduced) == {(0,): 0, (1,): 0, (2,): 0}
         if mode == MODE_COALITION:
             # each tuple stands for 3**2 states: participant 2's random vector
             assert sum(histogram.values()) == count_consistent_tuples(unreduced) * 3**2
             honest = sum(enumerate_consistent(view).values())
             assert honest == count_consistent_tuples(view) * 3**2 == 243 * 3**2
+
+    def test_count_fibers_equals_the_per_secret_counts(self):
+        # one pass per level over every secret against one scan per secret,
+        # on every reference view and the tuple-count cases (d0 = 2 included)
+        views = list(reference_views()) + [
+            observe_coalition(*setup, coalition, rng=random.Random(1))[0]
+            for setup, coalition in tuple_count_cases()
+        ]
+        assert any(view.params.d0 == 2 for view in views)
+        for view in views:
+            fibers = count_fibers(view)
+            assert fibers == {
+                secret: count_secret_preimages(view, secret)
+                for secret in vectors(view.params.p, view.params.d0)
+            }
+            assert sum(fibers.values()) == count_consistent_tuples(view)
+
+    @pytest.mark.parametrize("fault", ["residue dropped", "secret dropped", "degree overflow"])
+    def test_count_fibers_re_verifies_every_candidate(self, fault, monkeypatch):
+        # Mutant bases, each breaking one constraint that only the re-checks
+        # catch. Solving the secret's congruence alone (the mutant of
+        # test_candidate_breaking_a_pinned_residue_is_refused) or member 4's
+        # alone leaves candidates that meet member 4's residue c, or open to
+        # it, only for the secret c; adding x times the moduli's product
+        # (degree = cap at both levels) cancels only where 1 + s = 0.
+        structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7)
+        view, _ = observe_coalition(structure, params, {4}, rng=random.Random(1))
+        share = Share(4, 2, view.shares[4])
+        c = (unmask_share(view.family, view.bulletin, share, 2) % params.moduli[3]).coefficient(0)
+        x = Poly(11, [0, 1])
+        patched, opened = {
+            "residue dropped": (lambda r, m: r[0], (c,)),
+            "secret dropped": (lambda r, m: crt_combine(r[1:], m[1:]) if m[1:] else r[0], (c,)),
+            "degree overflow": (lambda r, m: crt_combine(r, m) + x * math.prod(m), (10,)),
+        }[fault]
+        monkeypatch.setattr(oracle, "crt_combine", patched)
+        expected = {s: 11**2 * (s == opened) for s in vectors(11, 1)}
+        assert preimage_exponent(structure, params, {4}) == 2
+        assert count_fibers(view) == expected
+        assert {s: count_secret_preimages(view, s) for s in expected} == expected
+
+    def test_count_fibers_refuses_a_colliding_parameterization(self):
+        # a zero step maps every free coefficient to the same candidate
+        structure, params = theta_one_setup()
+        view = observe_coalition(structure, params, {3})[0]
+        levels = tuple((mods, residues, Poly(3), cap) for mods, residues, _, cap in view._levels)
+        view.__dict__["_levels"] = levels
+        with pytest.raises(AssertionError, match="parameterization collided"):
+            count_fibers(view)
 
     def test_zero_exponent_leaves_single_tuple_per_secret(self):
         structure, params = tiny_state_setup()
@@ -735,6 +803,18 @@ class TestTupleCounts:
             count_consistent_tuples(
                 observe_coalition(structure, params, {3})[0], budget=EnumerationBudget(8)
             )
+
+    def test_count_fibers_checks_every_fiber_against_the_budget(self, monkeypatch):
+        # 3 fibers of 3**1 tuples: a budget of 8 fits each fiber but not all 9
+        structure, params = theta_one_setup()
+        view = observe_coalition(structure, params, {3})[0]
+        scans = []
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_scan_fibers", lambda *args: scans.append(args))
+            with pytest.raises(BudgetExceededError, match="needs 9 states, budget allows 8"):
+                count_fibers(view, EnumerationBudget(8))
+        assert scans == []
+        assert count_fibers(view, EnumerationBudget(9)) == {(0,): 3, (1,): 3, (2,): 3}
 
     def test_secret_outside_field_rejected(self):
         # (3,) used to be counted as the secret (0,) at p = 3
