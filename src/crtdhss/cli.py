@@ -30,10 +30,8 @@ from .errors import (
     InsufficientIrreduciblesError,
     UnauthorizedSubsetError,
 )
-from .hashing import family_from_params
+from .hashing import BACKENDS, family_from_params
 from .oracle import (
-    MODE_COALITION,
-    MODE_FULL,
     EnumerationBudget,
     count_fibers,
     enumerate_consistent,
@@ -128,6 +126,7 @@ def cmd_gen_params(args) -> int:
         table_seed=args.table_seed,
     )
     check_params(structure, params)
+    family_from_params(params, structure.m)  # refuses a degenerate table seed before writing
     fileio.save_params(args.out, structure, params)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
@@ -190,9 +189,8 @@ def cmd_attack_yang(args) -> int:
 def cmd_analyze(args) -> int:
     structure, params = fileio.load_params(args.params)
     coalition = frozenset(_csv_ints(args.coalition, "--coalition"))
-    mode = MODE_FULL if args.mode == "full" else MODE_COALITION
     budget = EnumerationBudget(args.budget)
-    view, dealt = observe_coalition(structure, params, coalition, mode=mode, rng=_rng(args))
+    view, dealt = observe_coalition(structure, params, coalition, mode=args.mode, rng=_rng(args))
 
     theta = preimage_exponent(structure, params, coalition)
     p, d0 = params.p, params.d0
@@ -222,7 +220,7 @@ def cmd_analyze(args) -> int:
         "p": str(p),
         "d0": d0,
         "coalition": sorted(coalition),
-        "mode": mode,
+        "mode": args.mode,
         "seed": args.seed,
         "dealt_secret": " ".join(str(c) for c in dealt),
         "preimage_exponent": theta,
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--levels", required=True, help="level sizes, e.g. 3,4")
     gen.add_argument("--thresholds", required=True, help="thresholds, e.g. 2,3")
     gen.add_argument("--degrees", required=True, help="modulus degrees, e.g. 1x7 or 1,1,2")
-    gen.add_argument("--hash-backend", choices=("crypto", "table"), default="crypto")
+    gen.add_argument("--hash-backend", choices=BACKENDS, default="crypto")
     gen.add_argument("--table-seed", type=int, default=None)
     gen.add_argument("--out", required=True, help="output parameter file")
     _add_seed_flags(gen)

@@ -11,13 +11,20 @@ valid field element. Two backends exist:
 The functions for different levels are obtained from one primitive by
 feeding the level index into the hash input; the table backend verifies
 exact distinctness of its level tables at construction.
+
+This module owns the rules of a hash configuration: `check_config` is the
+one place that tests the backend name, the seed pairing, the seed range and
+the table field limit, and both `PublicParams` and `HashFamily` call it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass, field
 
 from .fieldpoly import Poly
+
+BACKENDS = ("crypto", "table")
 
 CRYPTO_PRIMITIVE = "sha256"
 
@@ -32,44 +39,54 @@ TABLE_FIELD_LIMIT = 1 << 20
 TABLE_SEED_LIMIT = 1 << 64
 
 
+def check_config(backend: str, p: int, table_seed: int | None) -> None:
+    """Refuse a hash configuration that no family can be built from."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown hash backend {backend!r}")
+    if backend == "crypto":
+        if table_seed is not None:
+            raise ValueError("the crypto backend takes no seed")
+        return
+    if table_seed is None:
+        raise ValueError("the table backend requires a seed")
+    if not 0 <= table_seed < TABLE_SEED_LIMIT:
+        raise ValueError("table seed must fit in 64 bits")
+    if p > TABLE_FIELD_LIMIT:
+        raise ValueError(f"the table hash backend needs p <= {TABLE_FIELD_LIMIT}")
+
+
 def _digest_to_bits(digest: bytes, bits: int) -> int:
     return int.from_bytes(digest, "big") >> (8 * len(digest) - bits)
 
 
+@dataclass(frozen=True, slots=True)
 class HashFamily:
-    """Immutable family h_1..h_m of level-separated one-way functions."""
+    """Immutable family h_1..h_m of level-separated one-way functions.
 
-    __slots__ = ("backend", "p", "num_levels", "output_bits", "table_seed", "_tables", "_width")
+    Two families are equal exactly when their configurations are.
+    """
 
-    def __init__(self, backend: str, p: int, num_levels: int, table_seed: int | None = None):
-        if backend not in ("crypto", "table"):
-            raise ValueError(f"unknown hash backend {backend!r}")
-        if p < 2:
+    backend: str
+    p: int
+    num_levels: int
+    table_seed: int | None = None
+    output_bits: int = field(init=False, compare=False, repr=False)
+    _width: int = field(init=False, compare=False, repr=False)
+    _tables: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        if self.p < 2:
             raise ValueError("field modulus must be at least 2")
-        if num_levels < 1:
+        if self.num_levels < 1:
             raise ValueError("at least one level is required")
-        self.backend = backend
-        self.p = p
-        self.num_levels = num_levels
-        self.output_bits = p.bit_length() - 1
-        self._width = (p.bit_length() + 7) // 8
-        if backend == "table":
-            if table_seed is None:
-                raise ValueError("the table backend requires a seed")
-            if not 0 <= table_seed < TABLE_SEED_LIMIT:
-                raise ValueError("table seed must fit in 64 bits")
-            if p > TABLE_FIELD_LIMIT:
-                raise ValueError(
-                    f"table backend materializes all {p} inputs; p must be <= {TABLE_FIELD_LIMIT}"
-                )
-            self.table_seed = table_seed
-            self._tables = self._build_tables()
+        check_config(self.backend, self.p, self.table_seed)
+        object.__setattr__(self, "output_bits", self.p.bit_length() - 1)
+        object.__setattr__(self, "_width", (self.p.bit_length() + 7) // 8)
+        if self.backend == "table":
+            object.__setattr__(self, "_tables", self._build_tables())
             self._check_tables_distinct()
-        else:
-            if table_seed is not None:
-                raise ValueError("the crypto backend takes no seed")
-            self.table_seed = None
-            self._tables = None
 
     @classmethod
     def crypto(cls, p: int, num_levels: int) -> "HashFamily":
@@ -127,28 +144,7 @@ class HashFamily:
             raise ValueError("share vector must have at least one coefficient")
         return Poly(self.p, (self.hash_element(level, c) for c in vector))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HashFamily)
-            and self.backend == other.backend
-            and self.p == other.p
-            and self.num_levels == other.num_levels
-            and self.table_seed == other.table_seed
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.backend, self.p, self.num_levels, self.table_seed))
-
-    def __reduce__(self):
-        return (HashFamily, (self.backend, self.p, self.num_levels, self.table_seed))
-
-    def __repr__(self) -> str:
-        seed = "" if self.table_seed is None else f", seed={self.table_seed}"
-        return f"HashFamily({self.backend!r}, p={self.p}, levels={self.num_levels}{seed})"
-
 
 def family_from_params(params, num_levels: int) -> HashFamily:
     """Build the family named by a parameter set's hash configuration."""
-    if params.hash_backend == "table":
-        return HashFamily.table(params.p, num_levels, params.table_seed)
-    return HashFamily.crypto(params.p, num_levels)
+    return HashFamily(params.hash_backend, params.p, num_levels, params.table_seed)

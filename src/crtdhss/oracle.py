@@ -148,7 +148,6 @@ def observe_coalition(
     coalition,
     mode: str = MODE_COALITION,
     rng: Optional[random.Random] = None,
-    secret: Optional[Sequence[int]] = None,
 ) -> tuple[CoalitionView, tuple[int, ...]]:
     """Deal a transcript and record the coalition's view of it.
 
@@ -160,11 +159,7 @@ def observe_coalition(
         structure.level_of(i)  # range check before dealing
     rng = rng if rng is not None else random.Random(0)
     family = family_from_params(params, structure.m)
-    vector = (
-        tuple(secret)
-        if secret is not None
-        else tuple(rng.randrange(params.p) for _ in range(params.d0))
-    )
+    vector = tuple(rng.randrange(params.p) for _ in range(params.d0))
     shares, bulletin = deal(structure, params, family, vector, rng)
     view = CoalitionView(
         structure=structure,

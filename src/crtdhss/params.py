@@ -24,7 +24,7 @@ from .fieldpoly import (
     pow_mod,
     vectors,
 )
-from .hashing import TABLE_FIELD_LIMIT, TABLE_SEED_LIMIT
+from .hashing import check_config
 
 MAX_PRIME = 2**64 - 1
 
@@ -46,14 +46,7 @@ def _check_settings(p: int, d0: int, hash_backend: str, table_seed: Optional[int
     _check_field(p)
     if d0 < 1:
         raise ValueError("secret degree bound must be at least 1")
-    if hash_backend not in ("crypto", "table"):
-        raise ValueError(f"unknown hash backend {hash_backend!r}")
-    if (table_seed is None) == (hash_backend == "table"):
-        raise ValueError("table_seed must be given exactly when hash_backend is 'table'")
-    if table_seed is not None and not 0 <= table_seed < TABLE_SEED_LIMIT:
-        raise ValueError("table seed must fit in 64 bits")
-    if hash_backend == "table" and p > TABLE_FIELD_LIMIT:
-        raise ValueError(f"the table hash backend needs p <= {TABLE_FIELD_LIMIT}")
+    check_config(hash_backend, p, table_seed)
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,21 @@ class TestGenParams:
         assert "table hash backend needs p <= 1048576" in err
         assert not out.exists()
 
+    def test_degenerate_table_seed_exit_2_and_no_file(self, tmp_path, capsys):
+        # seed 8 makes both level tables over F_3 coincide; the file used to be
+        # written, then refused by deal and analyze
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys,
+            "gen-params",
+            "--p", "3", "--levels", "1,2", "--thresholds", "1,2",
+            "--degrees", "1,2,2", "--hash-backend", "table", "--table-seed", "8",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert "degenerate table seed" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "degrees, message",
         [

@@ -90,6 +90,26 @@ class TestTableBackend:
         with pytest.raises(ValueError, match=message):
             HashFamily(backend, p, levels, table_seed=seed)
 
+    @pytest.mark.parametrize(
+        "backend, p, seed, message",
+        [
+            ("md5", 11, None, "unknown hash backend 'md5'"),
+            ("crypto", 11, 1, "the crypto backend takes no seed"),
+            ("table", 11, None, "the table backend requires a seed"),
+            ("table", 11, -1, "table seed must fit in 64 bits"),
+            ("table", 11, 2**64, "table seed must fit in 64 bits"),
+            ("table", 2**61 - 1, 5, "the table hash backend needs p <= 1048576"),
+        ],
+        ids=["unknown-backend", "crypto-seed", "table-no-seed", "seed-negative",
+             "seed-2^64", "table-above-field-limit"],
+    )
+    def test_params_and_family_refuse_alike(self, backend, p, seed, message):
+        with pytest.raises(ValueError) as from_params:
+            PublicParams(p, 1, (Poly(p, [1, 1]),), hash_backend=backend, table_seed=seed)
+        with pytest.raises(ValueError) as from_family:
+            HashFamily(backend, p, 2, table_seed=seed)
+        assert str(from_params.value) == str(from_family.value) == message
+
     def test_exhaustive_range_check(self):
         fam = HashFamily.table(257, 2, 3)
         bound = 1 << fam.output_bits
