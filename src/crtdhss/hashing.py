@@ -5,12 +5,12 @@ field element to a value of floor(log2 p) bits, so every output is again a
 valid field element. Two backends exist:
 
 - "crypto": SHA-256 with domain separation over (context, level, element).
-- "table": a seeded pseudorandom table, fully materialized so exhaustive
-  security audits can enumerate preimages exactly. Restricted to small p.
+- "table": seeded digests computed on demand, so exhaustive security audits
+  can enumerate preimages exactly. Restricted to small p.
 
-The functions for different levels are obtained from one primitive by
-feeding the level index into the hash input; the table backend verifies
-exact distinctness of its level tables at construction.
+Both backends hash a per-level prefix, (context, [seed,] level), followed by
+the element; the table backend verifies at construction that no two levels
+agree on every element of F_p.
 
 This module owns the rules of a hash configuration: `check_config` is the
 one place that tests the backend name, the seed pairing, the seed range and
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .fieldpoly import Poly
 
@@ -31,8 +32,9 @@ CRYPTO_PRIMITIVE = "sha256"
 _CRYPTO_CONTEXT = b"crtdhss.level-hash.v1"
 _TABLE_CONTEXT = b"crtdhss.table-hash.v1"
 
-# The table backend materializes num_levels * p entries; refuse fields too
-# large for exhaustive work, which is that backend's entire purpose.
+# Full-mode audits, the table backend's entire purpose, enumerate all p inputs
+# per coefficient, so the backend refuses larger fields; keeping the limit also
+# keeps the exit codes of existing parameter files stable.
 TABLE_FIELD_LIMIT = 1 << 20
 
 # A table seed enters the table derivation as 8 big-endian bytes.
@@ -72,9 +74,7 @@ class HashFamily:
     table_seed: int | None = None
     output_bits: int = field(init=False, compare=False, repr=False)
     _width: int = field(init=False, compare=False, repr=False)
-    _tables: tuple[tuple[int, ...], ...] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    _prefixes: tuple[bytes, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.p < 2:
@@ -84,9 +84,20 @@ class HashFamily:
         check_config(self.backend, self.p, self.table_seed)
         object.__setattr__(self, "output_bits", self.p.bit_length() - 1)
         object.__setattr__(self, "_width", (self.p.bit_length() + 7) // 8)
+        if self.backend == "crypto":
+            context = _CRYPTO_CONTEXT
+        else:
+            context = _TABLE_CONTEXT + self.table_seed.to_bytes(8, "big")
+        levels = range(1, self.num_levels + 1)
+        prefixes = tuple(context + level.to_bytes(4, "big") for level in levels)
+        object.__setattr__(self, "_prefixes", prefixes)
         if self.backend == "table":
-            object.__setattr__(self, "_tables", self._build_tables())
-            self._check_tables_distinct()
+            for i, j in combinations(levels, 2):
+                if all(self._digest(i, v) == self._digest(j, v) for v in range(self.p)):
+                    raise ValueError(
+                        f"degenerate table seed: levels {i} and {j} coincide; "
+                        "pick a different seed"
+                    )
 
     @classmethod
     def crypto(cls, p: int, num_levels: int) -> "HashFamily":
@@ -96,31 +107,9 @@ class HashFamily:
     def table(cls, p: int, num_levels: int, seed: int) -> "HashFamily":
         return cls("table", p, num_levels, table_seed=seed)
 
-    def _build_tables(self) -> tuple[tuple[int, ...], ...]:
-        seed_bytes = self.table_seed.to_bytes(8, "big")
-        bits = self.output_bits
-        tables = []
-        for level in range(1, self.num_levels + 1):
-            prefix = _TABLE_CONTEXT + seed_bytes + level.to_bytes(4, "big")
-            tables.append(
-                tuple(
-                    _digest_to_bits(
-                        hashlib.sha256(prefix + v.to_bytes(self._width, "big")).digest(),
-                        bits,
-                    )
-                    for v in range(self.p)
-                )
-            )
-        return tuple(tables)
-
-    def _check_tables_distinct(self) -> None:
-        for i in range(self.num_levels):
-            for j in range(i + 1, self.num_levels):
-                if self._tables[i] == self._tables[j]:
-                    raise ValueError(
-                        f"degenerate table seed: levels {i + 1} and {j + 1} coincide; "
-                        "pick a different seed"
-                    )
+    def _digest(self, level: int, value: int) -> int:
+        data = self._prefixes[level - 1] + value.to_bytes(self._width, "big")
+        return _digest_to_bits(hashlib.sha256(data).digest(), self.output_bits)
 
     def hash_element(self, level: int, value: int) -> int:
         """h_level(value), a deterministic element of [0, 2**output_bits)."""
@@ -128,14 +117,7 @@ class HashFamily:
             raise ValueError(f"level {level} out of range 1..{self.num_levels}")
         if not 0 <= value < self.p:
             raise ValueError(f"input {value} is not an element of F_{self.p}")
-        if self._tables is not None:
-            return self._tables[level - 1][value]
-        data = (
-            _CRYPTO_CONTEXT
-            + level.to_bytes(4, "big")
-            + value.to_bytes(self._width, "big")
-        )
-        return _digest_to_bits(hashlib.sha256(data).digest(), self.output_bits)
+        return self._digest(level, value)
 
     def hash_poly(self, level: int, coeffs) -> Poly:
         """Lift h_level coefficient-wise over a fixed-length share vector."""

@@ -264,6 +264,36 @@ class TestDealReconstruct:
         assert code == 0
         assert out.strip() == "3"
 
+    def test_table_backend_round_trip_at_the_field_limit(self, tmp_path, capsys):
+        params_path = tmp_path / "params.json"
+        out_dir = tmp_path / "deal"
+        code, _, _ = run(
+            capsys,
+            "gen-params",
+            "--p", "1048573", "--levels", "1,2", "--thresholds", "1,2",
+            "--degrees", "1,2,2", "--hash-backend", "table", "--table-seed", "5",
+            "--seed", "1", "--out", str(params_path),
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys,
+            "deal",
+            "--params", str(params_path),
+            "--secret", "1048572",
+            "--seed", "2",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        code, out, _ = run(
+            capsys,
+            "reconstruct",
+            "--params", str(params_path),
+            "--bulletin", str(out_dir / "bulletin.json"),
+            str(out_dir / "share_001.json"),
+        )
+        assert code == 0
+        assert out.strip() == "1048572"
+
     def test_identical_seed_byte_identical_outputs(self, tmp_path, capsys):
         params_path = gen_reference_params(tmp_path, capsys)
         dirs = [tmp_path / "a", tmp_path / "b"]

@@ -1,12 +1,36 @@
 """Tests for the level-separated hash families."""
 
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
 from crtdhss.fieldpoly import Poly
 from crtdhss.hashing import TABLE_FIELD_LIMIT, HashFamily, family_from_params
 from crtdhss.params import PublicParams
+
+
+_CONTEXTS = {"crypto": b"crtdhss.level-hash.v1", "table": b"crtdhss.table-hash.v1"}
+
+
+def reference_digest(backend, p, level, value, seed=None):
+    """SHA-256(context ‖ [seed] ‖ level ‖ value), truncated to floor(log2 p) bits."""
+    prefix = _CONTEXTS[backend] + (b"" if seed is None else seed.to_bytes(8, "big"))
+    width, output_bits = (p.bit_length() + 7) // 8, p.bit_length() - 1
+    data = prefix + level.to_bytes(4, "big") + value.to_bytes(width, "big")
+    return int.from_bytes(hashlib.sha256(data).digest(), "big") >> (256 - output_bits)
+
+
+def reference_coincidence(p, num_levels, seed):
+    """The first level pair (i, j), i < j, whose table digests agree on all of F_p."""
+    for i, j in combinations(range(1, num_levels + 1), 2):
+        if all(
+            reference_digest("table", p, i, v, seed) == reference_digest("table", p, j, v, seed)
+            for v in range(p)
+        ):
+            return i, j
+    return None
 
 
 class TestDeterminismAndRange:
@@ -116,6 +140,57 @@ class TestTableBackend:
         for level in (1, 2):
             for v in range(257):
                 assert 0 <= fam.hash_element(level, v) < bound
+
+
+class TestDigestFormula:
+    @pytest.mark.parametrize(
+        "backend, p, levels, seed",
+        [
+            ("table", 3, 2, 7),
+            ("table", 13, 3, 1),
+            ("table", 1048573, 2, 5),
+            ("crypto", 2**61 - 1, 3, None),
+        ],
+    )
+    def test_hash_element_matches_the_formula(self, backend, p, levels, seed):
+        fam = HashFamily(backend, p, levels, table_seed=seed)
+        rng = random.Random(p)
+        inputs = range(p) if p < 100 else [0, p - 1, *(rng.randrange(p) for _ in range(200))]
+        for level in range(1, levels + 1):
+            for v in inputs:
+                assert fam.hash_element(level, v) == reference_digest(backend, p, level, v, seed)
+
+    def test_table_construction_hashes_on_demand(self, monkeypatch):
+        # building every entry up front would take 2 * 1048573 digests
+        class CountingHashlib:
+            calls = 0
+
+            def sha256(self, data):
+                self.calls += 1
+                return hashlib.sha256(data)
+
+        shim = CountingHashlib()
+        monkeypatch.setattr("crtdhss.hashing.hashlib", shim)
+        HashFamily.table(1048573, 2, 5)
+        assert 0 < shim.calls < 100
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_degenerate_verdict_is_exact(self, levels):
+        refused = 0
+        for seed in range(300):
+            pair = reference_coincidence(3, levels, seed)
+            if pair is None:
+                HashFamily.table(3, levels, seed)
+                continue
+            refused += 1
+            message = (
+                f"degenerate table seed: levels {pair[0]} and {pair[1]} coincide; "
+                "pick a different seed"
+            )
+            with pytest.raises(ValueError) as refusal:
+                HashFamily.table(3, levels, seed)
+            assert str(refusal.value) == message
+        assert 0 < refused < 300
 
 
 class TestCryptoDistinctness:
