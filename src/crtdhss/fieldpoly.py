@@ -10,8 +10,10 @@ construction validates it once (see `params`).
 
 The work runs on private kernels over bare coefficient tuples (`_add`,
 `_sub`, `_mul`, `_divmod`; `_mulmod_by` binds one modulus and multiplies
-residues packed into single ints). A kernel assumes normalized operands of
-one field, whose p its caller passes in (`_divmod` also takes unreduced
+residues packed into single ints; `_residue` reduces modulo one modulus
+through its cached, packed columns x**j mod m from `_power_columns`, which
+`oracle` reads unpacked). A kernel assumes normalized operands of one
+field, whose p its caller passes in (`_divmod` also takes unreduced
 dividends), checks nothing, and reduces lazily: products accumulate
 unreduced and each output coefficient is reduced once. The public layer
 (`Poly` operators, module functions) checks once that all operands share
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import FieldMismatchError, NotCoprimeError, NotPairwiseCoprimeError
@@ -199,12 +202,16 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if not isinstance(other, Poly):
-            return NotImplemented
+    def _check_divisor(self, other: "Poly") -> int:
         p = self._check_field(other)
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
+        return p
+
+    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        p = self._check_divisor(other)
         if len(self.coeffs) < len(other.coeffs):
             return _poly(p, ()), self
         quot, rem = _divmod(self.coeffs, other.coeffs, p)
@@ -214,7 +221,13 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        """The remainder alone: no quotient `Poly`, no hop through `divmod`."""
+        if not isinstance(other, Poly):
+            return NotImplemented
+        p = self._check_divisor(other)
+        if len(self.coeffs) < len(other.coeffs):
+            return self
+        return _poly(p, _divmod(self.coeffs, other.coeffs, p)[1])
 
     def monic(self) -> "Poly":
         """Scale so the leading coefficient is 1 (zero stays zero)."""
@@ -363,6 +376,45 @@ def crt_combine(residues: Sequence[Poly], moduli: Sequence[Poly]) -> Poly:
                 for j, c in enumerate(combiner, i):
                     acc[j] += y * c
     return _poly(p, _divmod(acc, total, p)[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _power_columns(modulus: Poly, length: int) -> tuple[int, tuple[int, ...]]:
+    """(w, columns): column j < length (>= 1) is x**j mod `modulus` (degree d >= 1), packed.
+
+    Reduction mod m is linear, and column j is the image of x**j: d
+    coefficients in w-bit slots of one int (Kronecker substitution). Column 0
+    is 1; each later column shifts the one before up a slot and folds the
+    slot leaving the top, reduced once, back through x**d mod m. No other
+    slot is reduced, so a slot holds at most d (p - 1)**2, and w =
+    bits(length d (p - 1)**3) holds a sum of `length` such slots times field
+    elements: `_residue` applies the map as one sum of products and one % p
+    per slot.
+
+    A build costs less than the one division it replaces, so a map used once
+    still pays; the moduli repeat across deals and audits, so maps are
+    cached. A 36-column entry over 2**61 - 1 at d = 4 (w = 191) takes about
+    4.6 KB, so 64 such entries take about 0.3 MB."""
+    p = modulus.p
+    m = _monic(modulus.coeffs, p)
+    d = len(m) - 1
+    w = (length * d * (p - 1) ** 3).bit_length()
+    top = d * w
+    low = sum(-c % p << s for c, s in zip(m, range(0, top, w)))  # x**d mod m
+    col, columns, below = 1, [1], (1 << top) - 1
+    for _ in range(1, length):
+        col <<= w
+        col = (col & below) + (col >> top) % p * low
+        columns.append(col)
+    return w, tuple(columns)
+
+
+def _residue(coeffs: Sequence[int], modulus: Poly, length: int) -> tuple[int, ...]:
+    """f mod `modulus`, padded to its degree, for f's coefficients `coeffs`: at most
+    `length` field elements in ascending order. The map comes from `_power_columns`."""
+    w, columns = _power_columns(modulus, length)
+    v, mask, p = sum(map(mul, coeffs, columns)), (1 << w) - 1, modulus.p
+    return tuple([(v >> s & mask) % p for s in range(0, modulus.degree * w, w)])
 
 
 def _mulmod_by(modulus: Poly) -> tuple[Callable[[Poly], int], Callable[..., int], Callable[[int], Poly]]:

@@ -19,11 +19,21 @@ the table field limit, and both `PublicParams` and `HashFamily` call it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .fieldpoly import Poly
+
+# CPython's built-in SHA-256 gives the same digests as hashlib's, whose import
+# maps OpenSSL's libcrypto into the process (about 3.4 MB of resident memory);
+# the module is `_sha256` up to 3.11 and `_sha2` from 3.12.
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 BACKENDS = ("crypto", "table")
 
@@ -109,7 +119,7 @@ class HashFamily:
 
     def _digest(self, level: int, value: int) -> int:
         data = self._prefixes[level - 1] + value.to_bytes(self._width, "big")
-        return _digest_to_bits(hashlib.sha256(data).digest(), self.output_bits)
+        return _digest_to_bits(sha256(data).digest(), self.output_bits)
 
     def hash_element(self, level: int, value: int) -> int:
         """h_level(value), a deterministic element of [0, 2**output_bits)."""

@@ -122,7 +122,7 @@ class PublicParams:
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.degree for m in self.moduli)
 
-    @property
+    @functools.cached_property
     def secret_modulus(self) -> Poly:
         """m_0(x) = x**d0."""
         return Poly.x_power(self.p, self.d0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InconsistentSharesError, MissingBulletinEntryError, UnauthorizedSubsetError
-from .fieldpoly import Poly, crt_combine
+from .fieldpoly import Poly, _residue, crt_combine
 from .hashing import HashFamily
 from .params import AccessStructure, PublicParams, check_params, min_authorized_level
 
@@ -128,9 +128,27 @@ def _master_polys(
     for alpha_len in _layout(structure, params)[0]:
         alpha = Poly(params.p, _draw_vector(rng, params.p, alpha_len))
         f = s_poly + alpha.shift(params.d0)
-        assert f % params.secret_modulus == s_poly % params.secret_modulus
+        assert _low(f, params.d0) == secret
         polys.append(f)
     return tuple(polys)
+
+
+def _low(f: Poly, d0: int) -> tuple[int, ...]:
+    """f mod x**d0 as d0 coefficients: the secret a master polynomial carries."""
+    return (f.coeffs + (0,) * d0)[:d0]
+
+
+def _reducer(
+    structure: AccessStructure, params: PublicParams, masters: Sequence[Poly]
+) -> Callable[[int, int], tuple[int, ...]]:
+    """residue(level, i): f_level mod m_i padded to d_i, by the cached map of
+    (m_i, f_level's coefficient count)."""
+    lengths = [params.d0 + a for a in _layout(structure, params)[0]]
+
+    def residue(level: int, i: int) -> tuple[int, ...]:
+        return _residue(masters[level - 1].coeffs, params.moduli[i - 1], lengths[level - 1])
+
+    return residue
 
 
 def deal_with_internals(
@@ -145,19 +163,21 @@ def deal_with_internals(
     vector = _check_secret(params, secret)
     masters = _master_polys(structure, params, vector, rng)
     _, n_random, keys = _layout(structure, params)
+    residue = _reducer(structure, params, masters)
 
     shares = []
     for i in range(1, structure.n + 1):
         if i <= n_random:
             coeffs = _draw_vector(rng, params.p, params.degrees[i - 1])
         else:
-            coeffs = (masters[-1] % params.moduli[i - 1]).padded(params.degrees[i - 1])
+            coeffs = residue(structure.m, i)
         shares.append(Share(i, structure.level_of(i), coeffs))
 
     entries: dict[tuple[int, int], Poly] = {}
     for level, i in keys:
+        # (f_l - h_l(c_i)) mod m_i, and h_l(c_i) has degree below d_i already
         masked = family.hash_poly(level, shares[i - 1].coeffs)
-        entries[(level, i)] = (masters[level - 1] - masked) % params.moduli[i - 1]
+        entries[(level, i)] = Poly(params.p, residue(level, i)) - masked
 
     return tuple(shares), Bulletin(entries), masters
 
@@ -203,7 +223,7 @@ def _open(
             "reconstructed polynomial exceeds its degree bound; shares are "
             "tampered or mismatched"
         )
-    return (f % params.secret_modulus).padded(params.d0)
+    return _low(f, params.d0)
 
 
 def _recover(

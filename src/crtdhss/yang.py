@@ -30,6 +30,7 @@ from .scheme import (
     _open,
     _pool_shares,
     _recover,
+    _reducer,
 )
 
 MASK_LEVEL = 2
@@ -50,18 +51,18 @@ def yang_deal_with_internals(
     """Deal and also return f_1, f_2 (for audits/tests)."""
     _check_two_level(structure, params)
     vector = _check_secret(params, secret)
-    f1, f2 = masters = _master_polys(structure, params, vector, rng)
-    degrees = params.degrees
+    masters = _master_polys(structure, params, vector, rng)
+    residue = _reducer(structure, params, masters)
     n1 = structure.level_sizes[0]
 
     shares = []
     for i in range(1, structure.n + 1):
-        f = f1 if i <= n1 else f2
-        coeffs = (f % params.moduli[i - 1]).padded(degrees[i - 1])
-        shares.append(Share(i, structure.level_of(i), coeffs))
+        level = structure.level_of(i)
+        shares.append(Share(i, level, residue(level, i)))
 
+    # (f_2 - c_i) mod m_i, and c_i has degree below d_i already
     masks = {
-        (MASK_LEVEL, i): (f2 - shares[i - 1].poly(params.p)) % params.moduli[i - 1]
+        (MASK_LEVEL, i): Poly(params.p, residue(MASK_LEVEL, i)) - shares[i - 1].poly(params.p)
         for i in range(1, n1 + 1)
     }
     return tuple(shares), Bulletin(masks), masters

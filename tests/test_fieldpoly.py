@@ -16,6 +16,7 @@ from sympy.polys.galoistools import (
     gf_rem,
 )
 
+from crtdhss import oracle
 from crtdhss.errors import (
     FieldMismatchError,
     NotCoprimeError,
@@ -24,6 +25,9 @@ from crtdhss.errors import (
 from crtdhss.fieldpoly import (
     Poly,
     _compose_mod,
+    _divmod,
+    _power_columns,
+    _residue,
     crt_combine,
     inverse_mod,
     is_pairwise_coprime,
@@ -506,6 +510,70 @@ class TestPackingWidth:
         for _ in range(5):
             f = Poly(p, [rng.randrange(p) for _ in range(d)] + [1])
             assert _desc(pow_mod(x, p, f)) == gf_pow_mod(_desc(x), p, _desc(f), p, ZZ)
+
+
+# -- reduction as a cached linear map: f mod m from the columns x**j mod m ------
+
+
+def _assert_reduces(coeffs, m, length):
+    """`_residue` agrees with `_divmod` and with sympy on f = coeffs modulo m."""
+    p = m.p
+    got = _residue(coeffs, m, length)
+    rem = _divmod(tuple(coeffs), m.coeffs, p)[1]
+    assert got == rem + (0,) * (m.degree - len(rem))
+    assert _desc(Poly(p, got)) == gf_rem(_desc(Poly(p, coeffs)), _desc(m), p, ZZ)
+
+
+class TestPowerColumns:
+    """A slot of a column holds up to d (p - 1)**2, and applying the map adds
+    `length` products of such a slot and a field element. Operands of all
+    p - 1 come closest to that bound, so they catch a slot too narrow for it;
+    lengths past deg m catch a missing fold."""
+
+    def test_cross_pairs(self):
+        # CROSS_PAIRS holds non-monic moduli and p = 2; lengths run below, at
+        # and above deg m, and past the operand's own length
+        for a, m in CROSS_PAIRS:
+            if m.degree < 1:
+                continue
+            n = len(a.coeffs)
+            for length in {1, m.degree, m.degree + 1, max(1, n), n + 5}:
+                _assert_reduces(a.coeffs[:length], m, length)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_widest_field(self, d):
+        p = WIDEST_P
+        rng = random.Random(200 + d)
+        for k in range(12):
+            lead = 1 if k % 2 else rng.randrange(1, p)
+            m = Poly(p, [rng.randrange(p) for _ in range(d)] + [lead])
+            for length in (1, d, d + 1, 4 * d + 3):
+                full = [p - 1] * length
+                near = [p - 1 - rng.randrange(2**32) for _ in range(length)]
+                drawn = [rng.randrange(p) for _ in range(length)]
+                for coeffs in (full, near, drawn, full[: length // 2]):
+                    _assert_reduces(coeffs, m, length)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_small_modulus_on_full_operands(self, p):
+        for m in all_polys(p, 3 if p < 5 else 2):
+            if m.degree >= 1:
+                for length in range(1, 13):
+                    _assert_reduces([p - 1] * length, m, length)
+
+    def test_cache_is_bounded_and_shared(self):
+        assert _power_columns.cache_info().maxsize == 64
+        m = Poly(13, [2, 0, 1])
+        assert _power_columns(m, 5) is _power_columns(m, 5)
+
+    def test_oracle_rows_are_the_columns_unpacked(self):
+        for a, m in CROSS_PAIRS[::5]:
+            if m.degree < 1:
+                continue
+            count = max(1, len(a.coeffs))
+            columns = [(Poly.x_power(m.p, j) % m).padded(m.degree) for j in range(count)]
+            expected = [tuple(column[k] for column in columns) for k in range(m.degree)]
+            assert oracle._rows(m, count) == expected
 
 
 # -- the trusted constructor: every result is normalized --------------------

@@ -1,11 +1,16 @@
 """Tests for the level-separated hash families."""
 
 import hashlib
+import importlib.util
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import crtdhss
 from crtdhss.fieldpoly import Poly
 from crtdhss.hashing import TABLE_FIELD_LIMIT, HashFamily, family_from_params
 from crtdhss.params import PublicParams
@@ -170,7 +175,7 @@ class TestDigestFormula:
                 return hashlib.sha256(data)
 
         shim = CountingHashlib()
-        monkeypatch.setattr("crtdhss.hashing.hashlib", shim)
+        monkeypatch.setattr("crtdhss.hashing.sha256", shim.sha256)
         HashFamily.table(1048573, 2, 5)
         assert 0 < shim.calls < 100
 
@@ -239,3 +244,25 @@ class TestFamilyFromParams:
         )
         assert table.backend == "table"
         assert table.table_seed == 4
+
+
+class TestNoOpenSSL:
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")),
+        reason="this interpreter has no built-in SHA-256 module",
+    )
+    def test_importing_every_module_leaves_hashlib_backend_unloaded(self):
+        # a fresh interpreter, so modules this test process loaded do not count
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import crtdhss\n"
+            "for module in pkgutil.iter_modules(crtdhss.__path__):\n"
+            "    importlib.import_module('crtdhss.' + module.name)\n"
+            "print('_hashlib' in sys.modules)\n"
+        )
+        src = str(Path(crtdhss.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
+        )
+        assert run.stdout.split() == ["False"]
