@@ -10,25 +10,24 @@ construction validates it once (see `params`).
 
 The work runs on private kernels over bare coefficient tuples (`_add`,
 `_sub`, `_mul`, `_divmod`; `_mulmod_by` binds one modulus and multiplies
-residues packed into single ints; `_residue` reduces modulo one modulus
-through its cached, packed columns x**j mod m from `_power_columns`, which
-`oracle` reads unpacked). A kernel assumes normalized operands of one
-field, whose p its caller passes in (`_divmod` also takes unreduced
-dividends), checks nothing, and reduces lazily: products accumulate
-unreduced and each output coefficient is reduced once. The public layer
-(`Poly` operators, module functions) checks once that all operands share
-one field, raising `FieldMismatchError` otherwise, and wraps kernel
-results with `_poly`, a trusted constructor without the reduction pass and
-trailing-zero scan of `Poly(p, coeffs)`, which stays the only checked
-entry point. Euclid and the CRT (`poly_gcd`, `poly_xgcd`, `_crt_basis`,
-`crt_combine`) loop on tuples.
+residues packed into single ints; `_residue` applies the cached, packed
+map f -> f mod m of `_power_columns`, whose columns `oracle` reads unpacked,
+and `crt_combine` the inverse map residues -> f of `_crt_basis`). A kernel
+assumes normalized operands of one field, whose p its caller passes in
+(`_divmod` also takes unreduced dividends), checks nothing, and reduces
+lazily: products accumulate unreduced and each output coefficient is
+reduced once. The public layer (`Poly` operators, module functions) checks
+once that all operands share one field, raising `FieldMismatchError`
+otherwise, and wraps kernel results with `_poly`, a trusted constructor
+without the reduction pass and trailing-zero scan of `Poly(p, coeffs)`,
+which stays the only checked entry point. Euclid loops on tuples.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from operator import mul
+from operator import lshift, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import FieldMismatchError, NotCoprimeError, NotPairwiseCoprimeError
@@ -296,15 +295,19 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def inverse_mod(a: Poly, m: Poly) -> Poly:
-    """Inverse of a modulo m; requires gcd(a mod m, m) = 1 and deg m >= 1."""
-    a._check_field(m)
+    """Inverse of a modulo m (gcd(a mod m, m) = 1, deg m >= 1): Euclid keeping a's cofactor."""
+    p = a._check_field(m)
     if m.degree < 1:
         raise ValueError("modulus must have degree at least 1")
     a = a % m
-    g, u, _ = poly_xgcd(a, m)
-    if g.degree:
+    r0, r1, s0, s1 = m.coeffs, a.coeffs, (), (1,)
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _sub(s0, _mul(q, s1, p), p)
+    if len(r0) != 1:
         raise NotCoprimeError(f"{a!r} is not invertible modulo {m!r}")
-    return u % m
+    inv = pow(r0[0], -1, p)
+    return _poly(p, tuple([c * inv % p for c in s0]))
 
 
 def vectors(p: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -324,97 +327,96 @@ def is_pairwise_coprime(polys: Sequence[Poly]) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=256)
-def _crt_basis(moduli: tuple[Poly, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(M, (lambda_i * M_i, ...)) as coefficient tuples, for pairwise-coprime moduli.
+def _pack(coeffs: Iterable[int], w: int) -> int:
+    """Coefficients packed into one int, w bits per slot (Kronecker substitution)."""
+    return sum(map(lshift, coeffs, itertools.count(0, w)))
 
-    Cached: the moduli repeat across reconstructions and exhaustive sweeps.
-    256 entries hold every coalition a session reuses and stay small when
-    fresh parameters keep coming: over 2^61 - 1 an entry of three degree-4
-    moduli takes about 2.6 KB, of seven 11 KB (2.7 MB for 256), of ten 20 KB."""
+
+def _unpack(v: int, w: int, count: int, p: int) -> list[int]:
+    """The `count` low w-bit slots of v, each reduced into [0, p)."""
+    mask = (1 << w) - 1
+    return [(v >> s & mask) % p for s in range(0, count * w, w)]
+
+
+def _x_multiples(starts: list, m: Sequence[int], w: int, p: int, reduce: bool = False) -> list[int]:
+    """col, x col, ..., x**(count - 1) col mod the monic m in deg m slots of w bits, per (col,
+    count) in `starts`: each shifts the one before up a slot and folds the slot leaving the top,
+    reduced, through x**deg m mod m, adding at most (p - 1)**2 to a slot; `reduce` reduces all."""
+    d = len(m) - 1
+    low, below, columns = _pack([-c % p for c in m[:-1]], w), (1 << d * w) - 1, []
+    for col, count in starts:
+        columns.append(col)
+        for _ in range(1, count):
+            col <<= w
+            col = (col & below) + (col >> d * w) % p * low
+            col = _pack(_unpack(col, w, d, p), w) if reduce else col
+            columns.append(col)
+    return columns
+
+
+@functools.lru_cache(maxsize=64)
+def _crt_basis(moduli: tuple[Poly, ...]) -> tuple[int, tuple[int, ...]]:
+    """(w, columns): the map residues -> CRT solution, packed, for pairwise-coprime moduli.
+
+    With M = prod m_i of degree D and lambda_i = (M / m_i)**-1 mod m_i, column (i, k), k < deg
+    m_i, is lambda_i (M / m_i) x**k mod M, folded by `_x_multiples` from column (i, 0) through
+    monic(M), in D reduced slots of w = bits(D (p - 1)**2) bits: room for the D products
+    `crt_combine` sums. Cached, without M: over 2**61 - 1 an entry of 3, 7, 12 and 24 degree-4
+    moduli takes 2.8, 13.8, 39.7 and 157 KB, so the 64 entries hold at most 10 MB."""
     p = moduli[0].p
-    total = (1,)
-    for m in moduli:
-        total = _mul(total, m.coeffs, p)
-    combiners = []
+    total = functools.reduce(lambda acc, m: _mul(acc, m.coeffs, p), moduli, (1,))
+    w = ((len(total) - 1) * (p - 1) ** 2).bit_length()
+    starts = []
     for m in moduli:
         partial = _divmod(total, m.coeffs, p)[0]
         try:
             lam = inverse_mod(_poly(p, partial), m)
         except NotCoprimeError:
-            # M/m_i is invertible modulo m_i exactly when the moduli are
-            # pairwise coprime, so failure here is that precondition.
+            # M/m_i is invertible mod m_i exactly when the moduli are pairwise coprime
             raise NotPairwiseCoprimeError("moduli are not pairwise coprime") from None
-        combiners.append(_mul(lam.coeffs, partial, p))
-    return total, tuple(combiners)
+        starts.append((_pack(_mul(lam.coeffs, partial, p), w), m.degree))
+    return w, tuple(_x_multiples(starts, _monic(total, p), w, p, reduce=True))
 
 
 def crt_combine(residues: Sequence[Poly], moduli: Sequence[Poly]) -> Poly:
-    """Solve y = residues[i] (mod moduli[i]) for all i.
+    """Solve y = residues[i] (mod moduli[i]) for pairwise-coprime moduli of degree >= 1 each.
 
-    The moduli must be pairwise coprime with degree >= 1 each; the result is
-    the unique solution of degree below sum(deg m_i): sum(lambda_i * M_i * y_i),
-    accumulated unreduced, mod M, with M_i = M / m_i and lambda_i its inverse
-    modulo m_i."""
+    The unique solution of degree below sum(deg m_i) is sum y_ik col_ik over the columns of
+    `_crt_basis`, y_ik coefficient k of residue i reduced mod m_i: one packed sum, % p per slot."""
     if len(residues) != len(moduli):
         raise ValueError("residue and modulus counts differ")
     if not moduli:
         raise ValueError("at least one congruence is required")
     if any(m.degree < 1 for m in moduli):
         raise ValueError("every modulus must have degree at least 1")
-    p = moduli[0].p
     for f in (*moduli, *residues):
-        moduli[0]._check_field(f)
+        p = moduli[0]._check_field(f)
     if len(moduli) == 1:
         return residues[0] % moduli[0]
-    total, combiners = _crt_basis(tuple(moduli))
-    acc = [0] * (len(total) + max(len(m.coeffs) for m in moduli))
-    for r, m, combiner in zip(residues, moduli, combiners):
-        ys = r.coeffs if len(r.coeffs) < len(m.coeffs) else _divmod(r.coeffs, m.coeffs, p)[1]
-        for i, y in enumerate(ys):
-            if y:
-                for j, c in enumerate(combiner, i):
-                    acc[j] += y * c
-    return _poly(p, _divmod(acc, total, p)[1])
+    w, columns = _crt_basis(tuple(moduli))
+    ys = []
+    for r, m in zip(residues, moduli):
+        c = r.coeffs if len(r.coeffs) < len(m.coeffs) else _divmod(r.coeffs, m.coeffs, p)[1]
+        ys += c + (0,) * (m.degree - len(c))
+    return _poly(p, _trim(_unpack(sum(map(mul, ys, columns)), w, len(columns), p)))
 
 
 @functools.lru_cache(maxsize=64)
 def _power_columns(modulus: Poly, length: int) -> tuple[int, tuple[int, ...]]:
     """(w, columns): column j < length (>= 1) is x**j mod `modulus` (degree d >= 1), packed.
 
-    Reduction mod m is linear, and column j is the image of x**j: d
-    coefficients in w-bit slots of one int (Kronecker substitution). Column 0
-    is 1; each later column shifts the one before up a slot and folds the
-    slot leaving the top, reduced once, back through x**d mod m. No other
-    slot is reduced, so a slot holds at most d (p - 1)**2, and w =
-    bits(length d (p - 1)**3) holds a sum of `length` such slots times field
-    elements: `_residue` applies the map as one sum of products and one % p
-    per slot.
-
-    A build costs less than the one division it replaces, so a map used once
-    still pays; the moduli repeat across deals and audits, so maps are
-    cached. A 36-column entry over 2**61 - 1 at d = 4 (w = 191) takes about
-    4.6 KB, so 64 such entries take about 0.3 MB."""
-    p = modulus.p
-    m = _monic(modulus.coeffs, p)
-    d = len(m) - 1
-    w = (length * d * (p - 1) ** 3).bit_length()
-    top = d * w
-    low = sum(-c % p << s for c, s in zip(m, range(0, top, w)))  # x**d mod m
-    col, columns, below = 1, [1], (1 << top) - 1
-    for _ in range(1, length):
-        col <<= w
-        col = (col & below) + (col >> top) % p * low
-        columns.append(col)
-    return w, tuple(columns)
+    Column 0 is 1 and `_x_multiples` builds the rest: a slot holds at most d (p - 1)**2, and w
+    = bits(length d (p - 1)**3) holds the `length` products `_residue` sums. Cached (a build
+    costs less than one division): at d = 4 over 2**61 - 1, 64 36-column entries take 0.3 MB."""
+    m = _monic(modulus.coeffs, modulus.p)
+    w = (length * (len(m) - 1) * (modulus.p - 1) ** 3).bit_length()
+    return w, tuple(_x_multiples([(1, length)], m, w, modulus.p))
 
 
 def _residue(coeffs: Sequence[int], modulus: Poly, length: int) -> tuple[int, ...]:
-    """f mod `modulus`, padded to its degree, for f's coefficients `coeffs`: at most
-    `length` field elements in ascending order. The map comes from `_power_columns`."""
+    """f mod `modulus` padded to its degree, for f's at most `length` coefficients `coeffs`."""
     w, columns = _power_columns(modulus, length)
-    v, mask, p = sum(map(mul, coeffs, columns)), (1 << w) - 1, modulus.p
-    return tuple([(v >> s & mask) % p for s in range(0, modulus.degree * w, w)])
+    return tuple(_unpack(sum(map(mul, coeffs, columns)), w, modulus.degree, modulus.p))
 
 
 def _mulmod_by(modulus: Poly) -> tuple[Callable[[Poly], int], Callable[..., int], Callable[[int], Poly]]:
@@ -434,9 +436,9 @@ def _mulmod_by(modulus: Poly) -> tuple[Callable[[Poly], int], Callable[..., int]
     mask, slots = (1 << w) - 1, range(0, d * w, w)
 
     def pack(f: Poly) -> int:
-        return sum(c << s for c, s in zip((f % modulus).coeffs, slots))
+        return _pack((f % modulus).coeffs, w)
 
-    low = sum(-c % p << s for c, s in zip(m, slots))  # x**d mod m
+    low = _pack([-c % p for c in m[:-1]], w)  # x**d mod m
     folds = [(k * w, low << (k - d) * w) for k in range(2 * d - 2, d - 1, -1)]
 
     def mulmod(x: int, y: int, c: int = 0) -> int:
@@ -449,7 +451,7 @@ def _mulmod_by(modulus: Poly) -> tuple[Callable[[Poly], int], Callable[..., int]
         return v
 
     def unpack(v: int) -> Poly:
-        return _poly(p, _trim([(v >> s & mask) % p for s in slots]))
+        return _poly(p, _trim(_unpack(v, w, d, p)))
 
     return pack, mulmod, unpack
 

@@ -47,7 +47,7 @@ from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, NoCrtSolutionError
-from .fieldpoly import Poly, _power_columns, crt_combine, vectors
+from .fieldpoly import Poly, _power_columns, _unpack, crt_combine, vectors
 from .hashing import HashFamily, family_from_params
 from .params import AccessStructure, PublicParams, is_authorized
 from .scheme import Bulletin, Share, _check_secret, _check_setup, _layout, _pool_shares
@@ -204,12 +204,10 @@ def state_count(view: CoalitionView) -> int:
 
 
 def _rows(modulus: Poly, count: int) -> list[tuple[int, ...]]:
-    """Row k dotted with coefficients 0..count-1 of a polynomial gives coefficient k of
-    its residue mod `modulus`: column j is x**j mod it, read unpacked and reduced from
-    the deal's cached map (`fieldpoly._power_columns`)."""
+    """Row k dotted with coefficients 0..count-1 of a polynomial gives coefficient k of its
+    residue mod `modulus`: the deal's cached map x**j mod it (`_power_columns`), unpacked."""
     w, columns = _power_columns(modulus, count)
-    mask, p = (1 << w) - 1, modulus.p
-    return [tuple([(c >> s & mask) % p for c in columns]) for s in range(0, modulus.degree * w, w)]
+    return list(zip(*(_unpack(c, w, modulus.degree, modulus.p) for c in columns)))
 
 
 def _residue_rows(view: CoalitionView, level: int, modulus: Poly) -> list[tuple[int, ...]]:

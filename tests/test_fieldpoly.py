@@ -24,8 +24,11 @@ from crtdhss.errors import (
 )
 from crtdhss.fieldpoly import (
     Poly,
+    _add,
     _compose_mod,
+    _crt_basis,
     _divmod,
+    _mul,
     _power_columns,
     _residue,
     crt_combine,
@@ -574,6 +577,144 @@ class TestPowerColumns:
             columns = [(Poly.x_power(m.p, j) % m).padded(m.degree) for j in range(count)]
             expected = [tuple(column[k] for column in columns) for k in range(m.degree)]
             assert oracle._rows(m, count) == expected
+
+
+# -- CRT as a cached linear map: residues -> f from the columns of _crt_basis --
+
+
+def _crt_reference(residues, moduli):
+    """sum(lambda_i M_i y_i) mod M on the kernels: M_i = M / m_i, lambda_i its inverse mod m_i."""
+    p = moduli[0].p
+    total = (1,)
+    for m in moduli:
+        total = _mul(total, m.coeffs, p)
+    acc = ()
+    for r, m in zip(residues, moduli):
+        partial = _divmod(total, m.coeffs, p)[0]
+        lam = inverse_mod(Poly(p, partial), m).coeffs
+        acc = _add(acc, _mul(_mul(lam, partial, p), r.coeffs, p), p)
+    return _divmod(acc, total, p)[1]
+
+
+def _assert_combines(residues, moduli):
+    """`crt_combine` equals the reference, meets every residue (by sympy) and fits below D."""
+    p = moduli[0].p
+    got = crt_combine(residues, moduli)
+    assert got.coeffs == _crt_reference(residues, moduli)
+    assert got.degree < sum(m.degree for m in moduli)
+    for r, m in zip(residues, moduli):
+        assert gf_rem(_desc(got), _desc(m), p, ZZ) == gf_rem(_desc(r), _desc(m), p, ZZ)
+
+
+def _full(moduli):
+    """Residues of all p - 1 coefficients, one per modulus: they come closest to the slot bound."""
+    return [Poly(m.p, [m.p - 1] * m.degree) for m in moduli]
+
+
+def _coprime_sets(moduli, size):
+    """Greedy pairwise-coprime sets of `size` moduli of degree >= 1, in the given order."""
+    sets, current = [], []
+    for m in moduli:
+        if m.degree >= 1 and all(poly_gcd(m, n).degree == 0 for n in current):
+            current.append(m)
+            if len(current) == size:
+                sets.append(current)
+                current = []
+    return sets
+
+
+class TestCrtColumns:
+    """Every slot of a column is reduced, and `crt_combine` adds D products of
+    such a slot and a field element, at most D (p - 1)**2. All-(p - 1)
+    residues come closest to that bound and catch a slot one bit too narrow;
+    moduli of degree >= 2 catch a fold skipped on a later column, and
+    non-monic sets catch folding through M instead of monic(M)."""
+
+    @pytest.mark.parametrize("p", CROSS_PRIMES)
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_cross_pairs(self, p, size):
+        # CROSS_PAIRS holds non-monic moduli, monomials and p = 2; its a's are
+        # mostly longer than the moduli they meet here
+        pairs = [(a, b) for a, b in CROSS_PAIRS if a.p == p]
+        sets = _coprime_sets([b for _, b in pairs], size)
+        assert sets
+        dividends = [a for a, _ in pairs]
+        for k, moduli in enumerate(sets):
+            longer = [dividends[(k + j) % len(dividends)] for j in range(size)]
+            for residues in (_full(moduli), longer, [r % m for r, m in zip(longer, moduli)]):
+                _assert_combines(residues, moduli)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_widest_field(self, d):
+        p = WIDEST_P
+        rng = random.Random(300 + d)
+        for k in range(8):
+            degrees = [d] + [rng.randint(1, d) for _ in range(1 + k % 3)]
+            moduli = [
+                Poly(p, [rng.randrange(p) for _ in range(e)] + [1 if k % 2 else rng.randrange(1, p)])
+                for e in degrees
+            ]
+            assert is_pairwise_coprime(moduli)
+            near = [Poly(p, [p - 1 - rng.randrange(2**32) for _ in range(e)]) for e in degrees]
+            drawn = [Poly(p, [rng.randrange(p) for _ in range(e)]) for e in degrees]
+            longer = [Poly(p, [rng.randrange(p) for _ in range(e + 3)]) for e in degrees]
+            for residues in (_full(moduli), near, drawn, longer):
+                _assert_combines(residues, moduli)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_small_fields_on_full_residues(self, p):
+        # every pairwise-coprime pair and triple of monic moduli of degree <= 2
+        # (<= 1 at p = 13), and the same scaled by p - 1, non-monic for p > 2
+        degree = 2 if p < 13 else 1
+        moduli = [m for m in all_polys(p, degree) if m.degree >= 1 and m.coeffs[-1] == 1]
+        for size in (2, 3):
+            for chosen in itertools.combinations(moduli, size):
+                if not is_pairwise_coprime(list(chosen)):
+                    continue
+                for scaled in {chosen, tuple(m * (p - 1) for m in chosen)}:
+                    _assert_combines(_full(scaled), list(scaled))
+
+    def test_residues_longer_than_their_moduli(self):
+        rng = random.Random(17)
+        for p in (2, 13):
+            moduli = [Poly(p, [1, 1]), Poly(p, [1, 1, 1]), Poly(p, [1, 0, 1, 1])]
+            assert is_pairwise_coprime(moduli)
+            for length in range(1, 12):
+                residues = [Poly(p, [rng.randrange(p) for _ in range(length)]) for _ in moduli]
+                _assert_combines(residues, moduli)
+                _assert_combines([Poly(p, [p - 1] * length) for _ in moduli], moduli)
+
+
+class TestCrtBasisCache:
+    """`_crt_basis` is the only CRT cache: perfbench clears it before each set-up
+    and reads its hits and misses."""
+
+    moduli = (Poly(13, [1, 1]), Poly(13, [2, 0, 1]), Poly(13, [3, 1]))
+    residues = [Poly(13, [5]), Poly(13, [7, 11]), Poly(13, [12])]
+
+    def test_bound_and_shared_entry(self):
+        assert _crt_basis.cache_info().maxsize == 64
+        assert _crt_basis(self.moduli) is _crt_basis(self.moduli)
+
+    def test_non_coprime_set_raises_every_time_and_is_never_cached(self):
+        shared = Poly(13, [1, 1])
+        moduli = [shared, shared * Poly(13, [3, 1])]
+        before = _crt_basis.cache_info()
+        for _ in range(3):
+            with pytest.raises(NotPairwiseCoprimeError):
+                crt_combine(self.residues[:2], moduli)
+        after = _crt_basis.cache_info()
+        assert after.misses - before.misses == 3
+        assert (after.hits, after.currsize) == (before.hits, before.currsize)
+
+    def test_clearing_makes_the_next_call_cold(self):
+        expected = crt_combine(self.residues, list(self.moduli))
+        old = _crt_basis(self.moduli)
+        _crt_basis.cache_clear()
+        assert crt_combine(self.residues, list(self.moduli)) == expected
+        info = _crt_basis.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+        assert _crt_basis(self.moduli) is not old
 
 
 # -- the trusted constructor: every result is normalized --------------------
