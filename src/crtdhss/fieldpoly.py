@@ -10,9 +10,9 @@ construction validates it once (see `params`).
 
 The work runs on private kernels over bare coefficient tuples (`_add`,
 `_sub`, `_mul`, `_divmod`; `_mulmod_by` binds one modulus and multiplies
-residues packed into single ints; `_residue` applies the cached, packed
-map f -> f mod m of `_power_columns`, whose columns `oracle` reads unpacked,
-and `crt_combine` the inverse map residues -> f of `_crt_basis`). A kernel
+residues packed into single ints; `_residues` applies the cached, packed map
+f -> (f mod m_i)_i of `_power_columns`, and `crt_combine` the inverse map
+residues -> f of `_crt_basis`). A kernel
 assumes normalized operands of one field, whose p its caller passes in
 (`_divmod` also takes unreduced dividends), checks nothing, and reduces
 lazily: products accumulate unreduced and each output coefficient is
@@ -402,21 +402,28 @@ def crt_combine(residues: Sequence[Poly], moduli: Sequence[Poly]) -> Poly:
 
 
 @functools.lru_cache(maxsize=64)
-def _power_columns(modulus: Poly, length: int) -> tuple[int, tuple[int, ...]]:
-    """(w, columns): column j < length (>= 1) is x**j mod `modulus` (degree d >= 1), packed.
+def _power_columns(moduli: tuple[Poly, ...], length: int) -> tuple[int, tuple[int, ...]]:
+    """(w, columns): column j < length is x**j mod every m_i (deg >= 1), packed side by side,
+    modulus i's slots from slot sum_{k<i} deg m_k. Built unreduced by `_x_multiples`, a slot holds
+    at most d_max (p - 1)**2, so w = bits(length d_max (p - 1)**3) holds the `length` products
+    `_residues` sums. Keys: a level's prefix of moduli per deal (`wide_session`: 3, the largest 24
+    degree-4 moduli x 36 columns, 89 KB at 2**61 - 1, 64 such 5.7 MB); one modulus in `oracle`."""
+    p = moduli[0].p
+    w = (length * max(m.degree for m in moduli) * (p - 1) ** 3).bit_length()
+    runs = [(_x_multiples([(1, length)], _monic(m.coeffs, p), w, p), m.degree * w) for m in moduli]
+    while len(runs) > 1:  # merging neighbours copies each column log2(k) times, not k / 2
+        pairs = zip(runs[::2], runs[1::2])
+        merged = [([x | y << wa for x, y in zip(a, b)], wa + wb) for (a, wa), (b, wb) in pairs]
+        runs = merged + runs[2 * len(merged):]
+    return w, tuple(runs[0][0])
 
-    Column 0 is 1 and `_x_multiples` builds the rest: a slot holds at most d (p - 1)**2, and w
-    = bits(length d (p - 1)**3) holds the `length` products `_residue` sums. Cached (a build
-    costs less than one division): at d = 4 over 2**61 - 1, 64 36-column entries take 0.3 MB."""
-    m = _monic(modulus.coeffs, modulus.p)
-    w = (length * (len(m) - 1) * (modulus.p - 1) ** 3).bit_length()
-    return w, tuple(_x_multiples([(1, length)], m, w, modulus.p))
 
-
-def _residue(coeffs: Sequence[int], modulus: Poly, length: int) -> tuple[int, ...]:
-    """f mod `modulus` padded to its degree, for f's at most `length` coefficients `coeffs`."""
-    w, columns = _power_columns(modulus, length)
-    return tuple(_unpack(sum(map(mul, coeffs, columns)), w, modulus.degree, modulus.p))
+def _residues(coeffs: Sequence[int], moduli: tuple[Poly, ...], length: int) -> list[tuple[int, ...]]:
+    """f mod each m_i, padded to deg m_i, for f's at most `length` coefficients `coeffs`."""
+    w, columns = _power_columns(moduli, length)
+    v, total = sum(map(mul, coeffs, columns)), sum(m.degree for m in moduli)
+    slots = iter(_unpack(v, w, total, moduli[0].p))
+    return [tuple(itertools.islice(slots, m.degree)) for m in moduli]
 
 
 def _mulmod_by(modulus: Poly) -> tuple[Callable[[Poly], int], Callable[..., int], Callable[[int], Poly]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .fieldpoly import Poly
+from .fieldpoly import Poly, _poly, _trim
 
 # CPython's built-in SHA-256 gives the same digests as hashlib's, whose import
 # maps OpenSSL's libcrypto into the process (about 3.4 MB of resident memory);
@@ -65,10 +65,6 @@ def check_config(backend: str, p: int, table_seed: int | None) -> None:
         raise ValueError("table seed must fit in 64 bits")
     if p > TABLE_FIELD_LIMIT:
         raise ValueError(f"the table hash backend needs p <= {TABLE_FIELD_LIMIT}")
-
-
-def _digest_to_bits(digest: bytes, bits: int) -> int:
-    return int.from_bytes(digest, "big") >> (8 * len(digest) - bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,23 +114,29 @@ class HashFamily:
         return cls("table", p, num_levels, table_seed=seed)
 
     def _digest(self, level: int, value: int) -> int:
+        """h_level(value), unchecked: the module's one digest formula."""
         data = self._prefixes[level - 1] + value.to_bytes(self._width, "big")
-        return _digest_to_bits(sha256(data).digest(), self.output_bits)
+        return int.from_bytes(sha256(data).digest(), "big") >> (256 - self.output_bits)
+
+    def _checked(self, level: int, values: tuple[int, ...]) -> tuple[int, ...]:
+        if not values:
+            raise ValueError("share vector must have at least one coefficient")
+        if not 1 <= level <= self.num_levels:
+            raise ValueError(f"level {level} out of range 1..{self.num_levels}")
+        for v in values:
+            if not 0 <= v < self.p:
+                raise ValueError(f"input {v} is not an element of F_{self.p}")
+        return values
 
     def hash_element(self, level: int, value: int) -> int:
         """h_level(value), a deterministic element of [0, 2**output_bits)."""
-        if not 1 <= level <= self.num_levels:
-            raise ValueError(f"level {level} out of range 1..{self.num_levels}")
-        if not 0 <= value < self.p:
-            raise ValueError(f"input {value} is not an element of F_{self.p}")
+        self._checked(level, (value,))
         return self._digest(level, value)
 
     def hash_poly(self, level: int, coeffs) -> Poly:
-        """Lift h_level coefficient-wise over a fixed-length share vector."""
-        vector = tuple(coeffs)
-        if not vector:
-            raise ValueError("share vector must have at least one coefficient")
-        return Poly(self.p, (self.hash_element(level, c) for c in vector))
+        """Lift h_level coefficient-wise over a fixed-length share vector (outputs lie below p)."""
+        vector = self._checked(level, tuple(coeffs))
+        return _poly(self.p, _trim([self._digest(level, c) for c in vector]))
 
 
 def family_from_params(params, num_levels: int) -> HashFamily:

@@ -206,7 +206,7 @@ def state_count(view: CoalitionView) -> int:
 def _rows(modulus: Poly, count: int) -> list[tuple[int, ...]]:
     """Row k dotted with coefficients 0..count-1 of a polynomial gives coefficient k of its
     residue mod `modulus`: the deal's cached map x**j mod it (`_power_columns`), unpacked."""
-    w, columns = _power_columns(modulus, count)
+    w, columns = _power_columns((modulus,), count)
     return list(zip(*(_unpack(c, w, modulus.degree, modulus.p) for c in columns)))
 
 

@@ -9,6 +9,7 @@ it holds at least t_l members inside that prefix.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,11 +83,7 @@ class AccessStructure:
     @functools.cached_property
     def prefix_counts(self) -> tuple[int, ...]:
         """N_l = number of participants in the first l levels, for l=1..m."""
-        out, acc = [], 0
-        for size in self.level_sizes:
-            acc += size
-            out.append(acc)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.level_sizes))
 
     def level_of(self, participant: int) -> int:
         if not 1 <= participant <= self.n:
@@ -117,6 +114,13 @@ class PublicParams:
                 raise ValueError("every modulus must be a polynomial over F_p")
             if m.degree < 1:
                 raise ValueError("every modulus must have degree at least 1")
+        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
+
+    def __hash__(self) -> int:
+        return self._hash  # fixed at construction: every validate_params memo lookup hashes params
+
+    def __reduce__(self):  # the fields; a copy loaded elsewhere hashes them again there
+        return PublicParams, (self.p, self.d0, self.moduli, self.hash_backend, self.table_seed)
 
     @functools.cached_property
     def degrees(self) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InconsistentSharesError, MissingBulletinEntryError, UnauthorizedSubsetError
-from .fieldpoly import Poly, _residue, crt_combine
+from .fieldpoly import Poly, _poly, _residues, _sub, crt_combine
 from .hashing import HashFamily
 from .params import AccessStructure, PublicParams, check_params, min_authorized_level
 
@@ -121,34 +121,23 @@ def _master_polys(
     params: PublicParams,
     secret: tuple[int, ...],
     rng: random.Random,
-) -> tuple[Poly, ...]:
+) -> tuple[tuple[Poly, ...], list[list[tuple[int, ...]]]]:
+    """f_1..f_m, and residues[l - 1][i - 1] = f_l mod m_i padded to d_i for each i <= N_l."""
     # Draw order: alpha_1..alpha_m, then the random share vectors (caller).
     s_poly = Poly(params.p, secret)
-    polys = []
-    for alpha_len in _layout(structure, params)[0]:
+    polys, residues = [], []
+    for alpha_len, bound in zip(_layout(structure, params)[0], structure.prefix_counts):
         alpha = Poly(params.p, _draw_vector(rng, params.p, alpha_len))
         f = s_poly + alpha.shift(params.d0)
         assert _low(f, params.d0) == secret
         polys.append(f)
-    return tuple(polys)
+        residues.append(_residues(f.coeffs, params.moduli[:bound], params.d0 + alpha_len))
+    return tuple(polys), residues
 
 
 def _low(f: Poly, d0: int) -> tuple[int, ...]:
     """f mod x**d0 as d0 coefficients: the secret a master polynomial carries."""
     return (f.coeffs + (0,) * d0)[:d0]
-
-
-def _reducer(
-    structure: AccessStructure, params: PublicParams, masters: Sequence[Poly]
-) -> Callable[[int, int], tuple[int, ...]]:
-    """residue(level, i): f_level mod m_i padded to d_i, by the cached map of
-    (m_i, f_level's coefficient count)."""
-    lengths = [params.d0 + a for a in _layout(structure, params)[0]]
-
-    def residue(level: int, i: int) -> tuple[int, ...]:
-        return _residue(masters[level - 1].coeffs, params.moduli[i - 1], lengths[level - 1])
-
-    return residue
 
 
 def deal_with_internals(
@@ -161,23 +150,22 @@ def deal_with_internals(
     """Deal and also return the dealer's master polynomials (for audits/tests)."""
     _check_setup(structure, params, family)
     vector = _check_secret(params, secret)
-    masters = _master_polys(structure, params, vector, rng)
+    masters, residues = _master_polys(structure, params, vector, rng)
     _, n_random, keys = _layout(structure, params)
-    residue = _reducer(structure, params, masters)
 
     shares = []
     for i in range(1, structure.n + 1):
         if i <= n_random:
             coeffs = _draw_vector(rng, params.p, params.degrees[i - 1])
         else:
-            coeffs = residue(structure.m, i)
+            coeffs = residues[-1][i - 1]
         shares.append(Share(i, structure.level_of(i), coeffs))
 
     entries: dict[tuple[int, int], Poly] = {}
     for level, i in keys:
         # (f_l - h_l(c_i)) mod m_i, and h_l(c_i) has degree below d_i already
-        masked = family.hash_poly(level, shares[i - 1].coeffs)
-        entries[(level, i)] = Poly(params.p, residue(level, i)) - masked
+        masked = family.hash_poly(level, shares[i - 1].coeffs).padded(params.degrees[i - 1])
+        entries[(level, i)] = _poly(params.p, _sub(residues[level - 1][i - 1], masked, params.p))
 
     return tuple(shares), Bulletin(entries), masters
 

@@ -20,7 +20,7 @@ import random
 from typing import Iterable, Sequence
 
 from .errors import AttackNotApplicableError
-from .fieldpoly import Poly, crt_combine
+from .fieldpoly import Poly, _poly, _sub, crt_combine
 from .params import AccessStructure, PublicParams, check_params
 from .scheme import (
     Bulletin,
@@ -30,7 +30,6 @@ from .scheme import (
     _open,
     _pool_shares,
     _recover,
-    _reducer,
 )
 
 MASK_LEVEL = 2
@@ -51,18 +50,17 @@ def yang_deal_with_internals(
     """Deal and also return f_1, f_2 (for audits/tests)."""
     _check_two_level(structure, params)
     vector = _check_secret(params, secret)
-    masters = _master_polys(structure, params, vector, rng)
-    residue = _reducer(structure, params, masters)
+    masters, residues = _master_polys(structure, params, vector, rng)
     n1 = structure.level_sizes[0]
 
     shares = []
     for i in range(1, structure.n + 1):
         level = structure.level_of(i)
-        shares.append(Share(i, level, residue(level, i)))
+        shares.append(Share(i, level, residues[level - 1][i - 1]))
 
     # (f_2 - c_i) mod m_i, and c_i has degree below d_i already
     masks = {
-        (MASK_LEVEL, i): Poly(params.p, residue(MASK_LEVEL, i)) - shares[i - 1].poly(params.p)
+        (MASK_LEVEL, i): _poly(params.p, _sub(residues[1][i - 1], shares[i - 1].coeffs, params.p))
         for i in range(1, n1 + 1)
     }
     return tuple(shares), Bulletin(masks), masters

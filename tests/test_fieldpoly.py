@@ -30,7 +30,7 @@ from crtdhss.fieldpoly import (
     _divmod,
     _mul,
     _power_columns,
-    _residue,
+    _residues,
     crt_combine,
     inverse_mod,
     is_pairwise_coprime,
@@ -515,23 +515,26 @@ class TestPackingWidth:
             assert _desc(pow_mod(x, p, f)) == gf_pow_mod(_desc(x), p, _desc(f), p, ZZ)
 
 
-# -- reduction as a cached linear map: f mod m from the columns x**j mod m ------
+# -- reduction as a cached linear map: f mod m_i from the columns x**j mod m_i --
 
 
-def _assert_reduces(coeffs, m, length):
-    """`_residue` agrees with `_divmod` and with sympy on f = coeffs modulo m."""
-    p = m.p
-    got = _residue(coeffs, m, length)
-    rem = _divmod(tuple(coeffs), m.coeffs, p)[1]
-    assert got == rem + (0,) * (m.degree - len(rem))
-    assert _desc(Poly(p, got)) == gf_rem(_desc(Poly(p, coeffs)), _desc(m), p, ZZ)
+def _assert_reduces(coeffs, moduli, length):
+    """`_residues` agrees with `_divmod` and with sympy on f = coeffs modulo each m_i."""
+    got = _residues(coeffs, tuple(moduli), length)
+    assert len(got) == len(moduli)
+    for r, m in zip(got, moduli):
+        p = m.p
+        rem = _divmod(tuple(coeffs), m.coeffs, p)[1]
+        assert r == rem + (0,) * (m.degree - len(rem))
+        assert _desc(Poly(p, r)) == gf_rem(_desc(Poly(p, coeffs)), _desc(m), p, ZZ)
 
 
 class TestPowerColumns:
-    """A slot of a column holds up to d (p - 1)**2, and applying the map adds
-    `length` products of such a slot and a field element. Operands of all
+    """A slot of a column holds up to d_max (p - 1)**2, and applying the map
+    adds `length` products of such a slot and a field element. Operands of all
     p - 1 come closest to that bound, so they catch a slot too narrow for it;
-    lengths past deg m catch a missing fold."""
+    lengths past deg m catch a missing fold. Sets of moduli of mixed degrees
+    catch a part placed at the wrong offset or in the wrong order."""
 
     def test_cross_pairs(self):
         # CROSS_PAIRS holds non-monic moduli and p = 2; lengths run below, at
@@ -541,33 +544,57 @@ class TestPowerColumns:
                 continue
             n = len(a.coeffs)
             for length in {1, m.degree, m.degree + 1, max(1, n), n + 5}:
-                _assert_reduces(a.coeffs[:length], m, length)
+                _assert_reduces(a.coeffs[:length], [m], length)
+
+    @pytest.mark.parametrize("p", CROSS_PRIMES)
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_coprime_sets_of_cross_pairs(self, p, size):
+        pairs = [(a, b) for a, b in CROSS_PAIRS if a.p == p]
+        sets = _coprime_sets([b for _, b in pairs], size)
+        assert sets
+        for k, moduli in enumerate(sets):
+            a = pairs[k % len(pairs)][0]
+            total = sum(m.degree for m in moduli)
+            for length in {1, max(1, len(a.coeffs)), total, total + 5}:
+                _assert_reduces(a.coeffs[:length], moduli, length)
+                _assert_reduces([p - 1] * length, moduli, length)
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_widest_field(self, d):
+        # 1 to 7 moduli of mixed degrees 1..8, monic and not, one of degree d first
         p = WIDEST_P
         rng = random.Random(200 + d)
         for k in range(12):
-            lead = 1 if k % 2 else rng.randrange(1, p)
-            m = Poly(p, [rng.randrange(p) for _ in range(d)] + [lead])
-            for length in (1, d, d + 1, 4 * d + 3):
+            degrees = [d] + [rng.randint(1, 8) for _ in range(k % 7)]
+            moduli = [
+                Poly(p, [rng.randrange(p) for _ in range(e)] + [1 if k % 2 else rng.randrange(1, p)])
+                for e in degrees
+            ]
+            assert is_pairwise_coprime(moduli)
+            for length in (1, d, d + 1, 4 * d + 3, sum(degrees) + 2):
                 full = [p - 1] * length
                 near = [p - 1 - rng.randrange(2**32) for _ in range(length)]
                 drawn = [rng.randrange(p) for _ in range(length)]
                 for coeffs in (full, near, drawn, full[: length // 2]):
-                    _assert_reduces(coeffs, m, length)
+                    _assert_reduces(coeffs, moduli[:1], length)
+                    _assert_reduces(coeffs, moduli, length)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_every_small_modulus_on_full_operands(self, p):
-        for m in all_polys(p, 3 if p < 5 else 2):
-            if m.degree >= 1:
-                for length in range(1, 13):
-                    _assert_reduces([p - 1] * length, m, length)
+        moduli = [m for m in all_polys(p, 3 if p < 5 else 2) if m.degree >= 1]
+        for m in moduli:
+            for length in range(1, 13):
+                _assert_reduces([p - 1] * length, [m], length)
+        for chosen in zip(moduli, moduli[1:], moduli[2:]):
+            for length in range(1, 13):
+                _assert_reduces([p - 1] * length, chosen, length)
 
     def test_cache_is_bounded_and_shared(self):
         assert _power_columns.cache_info().maxsize == 64
-        m = Poly(13, [2, 0, 1])
-        assert _power_columns(m, 5) is _power_columns(m, 5)
+        m, n = Poly(13, [2, 0, 1]), Poly(13, [3, 1])
+        assert _power_columns((m,), 5) is _power_columns((m,), 5)
+        assert _power_columns((m, n), 5) is _power_columns((m, n), 5)
+        assert _power_columns((m, n), 5) is not _power_columns((n, m), 5)
 
     def test_oracle_rows_are_the_columns_unpacked(self):
         for a, m in CROSS_PAIRS[::5]:

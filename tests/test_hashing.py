@@ -233,6 +233,52 @@ class TestHashPoly:
         with pytest.raises(ValueError):
             fam.hash_poly(1, ())
 
+    @pytest.mark.parametrize(
+        "backend, p, levels, seed",
+        [("table", 3, 2, 7), ("table", 13, 3, 1), ("crypto", 2**61 - 1, 3, None),
+         ("crypto", 2**64 - 59, 2, None)],
+    )
+    def test_equals_the_elementwise_hashes_trimmed(self, backend, p, levels, seed):
+        fam = HashFamily(backend, p, levels, table_seed=seed)
+        rng = random.Random(p)
+        vectors = [(0,), (0,) * 4, (p - 1,) * 4, tuple(rng.randrange(p) for _ in range(6))]
+        for level in range(1, levels + 1):
+            for vector in vectors:
+                expected = [fam.hash_element(level, c) for c in vector]
+                while expected and not expected[-1]:
+                    expected.pop()
+                assert fam.hash_poly(level, vector).coeffs == tuple(expected)
+
+    @pytest.mark.parametrize(
+        "level, vector, message",
+        [
+            (1, (), "share vector must have at least one coefficient"),
+            (0, (1,), "level 0 out of range 1..2"),
+            (3, (1, 2), "level 3 out of range 1..2"),
+            (1, (1, 11, 12), "input 11 is not an element of F_11"),
+            (1, (-1,), "input -1 is not an element of F_11"),
+        ],
+    )
+    def test_refusals(self, level, vector, message):
+        fam = HashFamily.crypto(11, 2)
+        with pytest.raises(ValueError) as refusal:
+            fam.hash_poly(level, vector)
+        assert str(refusal.value) == message
+
+    def test_one_digest_per_coefficient(self, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return hashlib.sha256(data)
+
+        fam = HashFamily.crypto(2**61 - 1, 2)
+        monkeypatch.setattr("crtdhss.hashing.sha256", counting)
+        for vector in ((5,), (0, 0, 0, 0), tuple(range(36))):
+            calls.clear()
+            fam.hash_poly(2, vector)
+            assert len(calls) == len(vector)
+
 
 class TestFamilyFromParams:
     def test_backend_selection(self):

@@ -392,6 +392,22 @@ class TestValidateOnce:
         assert validations() == 1
         assert hash(first) == hash(second)
 
+    def test_hash_is_computed_once_and_keys_the_memo(self, validations, monkeypatch):
+        structure = AccessStructure((3, 4), (2, 3))
+        first = params_with_degrees(11, 1, [1] * 7, seed=3)
+        second = params_with_degrees(11, 1, [1] * 7, seed=3)
+        hashed = []
+        monkeypatch.setattr(Poly, "__hash__", lambda f: hashed.append(f) or hash((f.p, f.coeffs)))
+        assert hash(first) == hash(second) == hash(first) == hash(second)
+        assert hashed == []  # hashed once, at construction
+        assert validate_params(structure, first).ok and validate_params(structure, second).ok
+        assert validations() == 1
+        unused = next(a for a in range(1, 11) if linear(11, a) not in first.moduli)
+        third = PublicParams(11, 1, first.moduli[:-1] + (linear(11, unused),))
+        assert third != first
+        assert validate_params(structure, third).ok
+        assert validations() == 2
+
     def test_invalid_pair_fails_on_every_call(self, validations):
         structure = AccessStructure((3,), (2,))
         moduli = (linear(5, 1), linear(5, 2), Poly(5, [2, 0, 1]))

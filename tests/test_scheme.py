@@ -11,7 +11,7 @@ from crtdhss.errors import (
     MissingBulletinEntryError,
     UnauthorizedSubsetError,
 )
-from crtdhss.fieldpoly import Poly
+from crtdhss.fieldpoly import Poly, _power_columns
 from crtdhss.hashing import HashFamily, family_from_params
 from crtdhss.params import (
     AccessStructure,
@@ -86,6 +86,14 @@ class TestDeal:
             expected = masters[level - 1] % params.moduli[i - 1]
             masked = family.hash_poly(level, shares[i - 1].coeffs)
             assert (w + masked) % params.moduli[i - 1] == expected
+
+    def test_each_level_reduces_through_one_map_application(self):
+        # 2 + 4 + 7 prefix residues over 3 levels, from 3 lookups of the map
+        structure, params, family = make_setup(11, (2, 2, 3), (1, 2, 3), [1] * 7, seed=3)
+        before = _power_columns.cache_info()
+        deal(structure, params, family, (4,), random.Random(0))
+        after = _power_columns.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == structure.m
 
     def test_degree_discipline(self):
         structure, params, family = make_setup(
