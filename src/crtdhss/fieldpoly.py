@@ -11,8 +11,9 @@ construction validates it once (see `params`).
 The work runs on private kernels over bare coefficient tuples (`_add`,
 `_sub`, `_mul`, `_divmod`; `_mulmod_by` binds one modulus and multiplies
 residues packed into single ints; `_residues` applies the cached, packed map
-f -> (f mod m_i)_i of `_power_columns`, and `crt_combine` the inverse map
-residues -> f of `_crt_basis`). A kernel
+f -> (f mod m_i)_i of `_power_columns`, `_rows` unpacks it into the auditor's
+dot-product rows, and `crt_combine` applies the inverse map residues -> f of
+`_crt_basis`). A kernel
 assumes normalized operands of one field, whose p its caller passes in
 (`_divmod` also takes unreduced dividends), checks nothing, and reduces
 lazily: products accumulate unreduced and each output coefficient is
@@ -128,7 +129,7 @@ def _divmod(a: Sequence[int], b: tuple[int, ...], p: int) -> tuple[tuple[int, ..
 class Poly:
     """Immutable polynomial over F_p, normalized ascending coefficient tuple."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "coeffs", "_hash")
 
     def __init__(self, p: int, coeffs: Iterable[int] = ()):
         if p < 2:
@@ -241,8 +242,12 @@ class Poly:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.p == other.p and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
+    def __hash__(self) -> int:  # kept once computed: caches keyed by moduli tuples rehash them
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.p, self.coeffs)))
+            return self._hash
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -407,7 +412,8 @@ def _power_columns(moduli: tuple[Poly, ...], length: int) -> tuple[int, tuple[in
     modulus i's slots from slot sum_{k<i} deg m_k. Built unreduced by `_x_multiples`, a slot holds
     at most d_max (p - 1)**2, so w = bits(length d_max (p - 1)**3) holds the `length` products
     `_residues` sums. Keys: a level's prefix of moduli per deal (`wide_session`: 3, the largest 24
-    degree-4 moduli x 36 columns, 89 KB at 2**61 - 1, 64 such 5.7 MB); one modulus in `oracle`."""
+    degree-4 moduli x 36 columns, 89 KB at 2**61 - 1, 64 such 5.7 MB); in `oracle`, through
+    `_rows`, a level's pinned moduli, one modulus, or a whole congruence system."""
     p = moduli[0].p
     w = (length * max(m.degree for m in moduli) * (p - 1) ** 3).bit_length()
     runs = [(_x_multiples([(1, length)], _monic(m.coeffs, p), w, p), m.degree * w) for m in moduli]
@@ -424,6 +430,14 @@ def _residues(coeffs: Sequence[int], moduli: tuple[Poly, ...], length: int) -> l
     v, total = sum(map(mul, coeffs, columns)), sum(m.degree for m in moduli)
     slots = iter(_unpack(v, w, total, moduli[0].p))
     return [tuple(itertools.islice(slots, m.degree)) for m in moduli]
+
+
+def _rows(moduli: tuple[Poly, ...], count: int) -> list[tuple[int, ...]]:
+    """Row k dotted with f's `count` coefficients gives slot k of `_residues(f, moduli, count)`:
+    the rows of every m_i stacked in order, from the map of `_power_columns` unpacked."""
+    w, columns = _power_columns(moduli, count)
+    total = sum(m.degree for m in moduli)
+    return list(zip(*(_unpack(c, w, total, moduli[0].p) for c in columns)))
 
 
 def _mulmod_by(modulus: Poly) -> tuple[Callable[[Poly], int], Callable[..., int], Callable[[int], Poly]]:

@@ -37,8 +37,6 @@ except ImportError:
 
 BACKENDS = ("crypto", "table")
 
-CRYPTO_PRIMITIVE = "sha256"
-
 _CRYPTO_CONTEXT = b"crtdhss.level-hash.v1"
 _TABLE_CONTEXT = b"crtdhss.table-hash.v1"
 

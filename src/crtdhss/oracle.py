@@ -47,11 +47,11 @@ from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, NoCrtSolutionError
-from .fieldpoly import Poly, _power_columns, _unpack, crt_combine, vectors
+from .fieldpoly import Poly, _rows, crt_combine, vectors
 from .hashing import HashFamily, family_from_params
 from .params import AccessStructure, PublicParams, is_authorized
-from .scheme import Bulletin, Share, _check_secret, _check_setup, _layout, _pool_shares
-from .scheme import deal, unmask_share
+from .scheme import Bulletin, Share, _check_secret, _check_setup, _draw_vector, _layout
+from .scheme import _pool_shares, deal, unmask_share
 
 MODE_COALITION = "coalition"
 MODE_FULL = "full"
@@ -159,7 +159,7 @@ def observe_coalition(
         structure.level_of(i)  # range check before dealing
     rng = rng if rng is not None else random.Random(0)
     family = family_from_params(params, structure.m)
-    vector = tuple(rng.randrange(params.p) for _ in range(params.d0))
+    vector = _draw_vector(rng, params.p, params.d0)
     shares, bulletin = deal(structure, params, family, vector, rng)
     view = CoalitionView(
         structure=structure,
@@ -203,13 +203,6 @@ def state_count(view: CoalitionView) -> int:
     return params.p ** (params.d0 + sum(alpha_lens) + sum(params.degrees[:n_random]))
 
 
-def _rows(modulus: Poly, count: int) -> list[tuple[int, ...]]:
-    """Row k dotted with coefficients 0..count-1 of a polynomial gives coefficient k of its
-    residue mod `modulus`: the deal's cached map x**j mod it (`_power_columns`), unpacked."""
-    w, columns = _power_columns((modulus,), count)
-    return list(zip(*(_unpack(c, w, modulus.degree, modulus.p) for c in columns)))
-
-
 def _residue_rows(view: CoalitionView, level: int, modulus: Poly) -> list[tuple[int, ...]]:
     """Row k: the weight of each outer digit in coefficient k of f_level mod `modulus`.
 
@@ -220,7 +213,7 @@ def _residue_rows(view: CoalitionView, level: int, modulus: Poly) -> list[tuple[
     d0 = view.params.d0
     alpha_lens = _layout(view.structure, view.params)[0]
     before, after = sum(alpha_lens[: level - 1]), sum(alpha_lens[level:])
-    rows = _rows(modulus, d0 + alpha_lens[level - 1])
+    rows = _rows((modulus,), d0 + alpha_lens[level - 1])
     return [(*row[:d0], *(0,) * before, *row[d0:], *(0,) * after) for row in rows]
 
 
@@ -366,18 +359,19 @@ def _scan_fibers(view: CoalitionView, secrets: Sequence[tuple[int, ...]]) -> dic
         free, moduli, zeros = max(0, cap - step.degree), [x_d0, *mods], [Poly(p)] * len(mods)
         vecs = [crt_combine([Poly(p), *residues], moduli)]
         vecs += [crt_combine([Poly.x_power(p, j), *zeros], moduli) for j in range(d0)]
-        vecs += [Poly.x_power(p, k) * step for k in range(free)]
+        vecs += [step.shift(k) for k in range(free)]
         length = max(cap, *(len(v.coeffs) for v in vecs))
         columns = list(zip(*(v.padded(length) for v in vecs)))
-        checks = [(_rows(m, length), [*r.padded(m.degree)]) for m, r in zip(mods, residues)]
+        rows = _rows(tuple(mods), length) if mods else []
+        want = [c for m, r in zip(mods, residues) for c in r.padded(m.degree)]
         seen = set()
         for secret in secrets:
             before = len(seen)
             for t in vectors(p, free):
                 digits = (1, *secret, *t)
                 g = tuple([sum(map(mul, digits, column)) % p for column in columns])
-                if any(g[cap:]) or g[:d0] != secret or any(
-                    [sum(map(mul, row, g)) % p for row in rows] != want for rows, want in checks
+                if any(g[cap:]) or g[:d0] != secret or (
+                    [sum(map(mul, row, g)) % p for row in rows] != want
                 ):
                     continue
                 if g in seen:
@@ -473,9 +467,8 @@ def crt_bruteforce(
     if states > max_states:
         raise BudgetExceededError(states, max_states)
 
-    checks = []
-    for r, m in zip(residues, moduli):
-        checks += zip(_rows(m, total_degree), (r % m).padded(m.degree))
+    wants = [c for r, m in zip(residues, moduli) for c in (r % m).padded(m.degree)]
+    checks = list(zip(_rows(tuple(moduli), total_degree), wants))
     matches = []
     for coeffs in vectors(p, total_degree):
         if all(sum(map(mul, row, coeffs)) % p == want for row, want in checks):

@@ -114,13 +114,6 @@ class PublicParams:
                 raise ValueError("every modulus must be a polynomial over F_p")
             if m.degree < 1:
                 raise ValueError("every modulus must have degree at least 1")
-        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
-
-    def __hash__(self) -> int:
-        return self._hash  # fixed at construction: every validate_params memo lookup hashes params
-
-    def __reduce__(self):  # the fields; a copy loaded elsewhere hashes them again there
-        return PublicParams, (self.p, self.d0, self.moduli, self.hash_backend, self.table_seed)
 
     @functools.cached_property
     def degrees(self) -> tuple[int, ...]:

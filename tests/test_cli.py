@@ -932,6 +932,7 @@ class TestLoaderFuzz:
         value = data.draw(st.one_of(candidates))
         files = dict(reference_files)
         files[kind] = reference_files["params"].parent / f"fuzz_{kind}.json"
+        files[kind].unlink(missing_ok=True)  # a fresh file: rewriting one in place can wait on a flush
         files[kind].write_text(json.dumps(value))
         assert main(list(reconstruct_argv(files))) in (0, 2, 4, 5)
 

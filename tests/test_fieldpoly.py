@@ -16,7 +16,6 @@ from sympy.polys.galoistools import (
     gf_rem,
 )
 
-from crtdhss import oracle
 from crtdhss.errors import (
     FieldMismatchError,
     NotCoprimeError,
@@ -31,6 +30,7 @@ from crtdhss.fieldpoly import (
     _mul,
     _power_columns,
     _residues,
+    _rows,
     crt_combine,
     inverse_mod,
     is_pairwise_coprime,
@@ -596,14 +596,34 @@ class TestPowerColumns:
         assert _power_columns((m, n), 5) is _power_columns((m, n), 5)
         assert _power_columns((m, n), 5) is not _power_columns((n, m), 5)
 
-    def test_oracle_rows_are_the_columns_unpacked(self):
+    @staticmethod
+    def stacked_rows(moduli, count):
+        """Row k of x**j mod m_i over j < count, for each m_i in turn."""
+        rows = []
+        for m in moduli:
+            columns = [(Poly.x_power(m.p, j) % m).padded(m.degree) for j in range(count)]
+            rows += [tuple(column[k] for column in columns) for k in range(m.degree)]
+        return rows
+
+    def test_rows_of_one_modulus(self):
         for a, m in CROSS_PAIRS[::5]:
             if m.degree < 1:
                 continue
             count = max(1, len(a.coeffs))
-            columns = [(Poly.x_power(m.p, j) % m).padded(m.degree) for j in range(count)]
-            expected = [tuple(column[k] for column in columns) for k in range(m.degree)]
-            assert oracle._rows(m, count) == expected
+            assert _rows((m,), count) == self.stacked_rows([m], count)
+
+    @pytest.mark.parametrize("p, degrees", [(2, [1, 3, 2]), (13, [2, 1, 4, 1]), (2**61 - 1, [4, 1, 3])])
+    def test_rows_of_mixed_degree_moduli_are_stacked(self, p, degrees):
+        rng = random.Random(p)
+        moduli = tuple(
+            Poly(p, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]) for d in degrees
+        )
+        for count in (1, max(degrees), sum(degrees) + 2):
+            rows = _rows(moduli, count)
+            assert rows == self.stacked_rows(moduli, count)
+            coeffs = [rng.randrange(p) for _ in range(count)]
+            slots = [c for residue in _residues(coeffs, moduli, count) for c in residue]
+            assert [sum(r * c for r, c in zip(row, coeffs)) % p for row in rows] == slots
 
 
 # -- CRT as a cached linear map: residues -> f from the columns of _crt_basis --

@@ -1,6 +1,8 @@
 """Tests for access structures, parameter conditions, and moduli generation."""
 
+import collections
 import itertools
+import pickle
 import random
 
 import pytest
@@ -8,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtdhss import fieldpoly
 from crtdhss.cli import main
 from crtdhss.errors import InsufficientIrreduciblesError, InvalidParametersError
 from crtdhss.fieldpoly import Poly, is_pairwise_coprime, poly_gcd, vectors
@@ -396,17 +399,32 @@ class TestValidateOnce:
         structure = AccessStructure((3, 4), (2, 3))
         first = params_with_degrees(11, 1, [1] * 7, seed=3)
         second = params_with_degrees(11, 1, [1] * 7, seed=3)
-        hashed = []
-        monkeypatch.setattr(Poly, "__hash__", lambda f: hashed.append(f) or hash((f.p, f.coeffs)))
+        computed = []  # the (p, coeffs) keys whose hash Poly.__hash__ computes
+        record = lambda key: computed.append(key) or hash(key)
+        monkeypatch.setattr(fieldpoly, "hash", record, raising=False)
         assert hash(first) == hash(second) == hash(first) == hash(second)
-        assert hashed == []  # hashed once, at construction
         assert validate_params(structure, first).ok and validate_params(structure, second).ok
         assert validations() == 1
+        moduli = first.moduli + second.moduli  # equal in value, distinct objects
+        assert collections.Counter(computed) == collections.Counter((m.p, m.coeffs) for m in moduli)
         unused = next(a for a in range(1, 11) if linear(11, a) not in first.moduli)
         third = PublicParams(11, 1, first.moduli[:-1] + (linear(11, unused),))
         assert third != first
         assert validate_params(structure, third).ok
         assert validations() == 2
+
+    def test_pickled_copies_hash_equal_and_share_the_memo(self, validations):
+        structure = AccessStructure((3, 4), (2, 3))
+        params = PublicParams(11, 1, generate_moduli(11, [1] * 7, random.Random(3)), "table", 5)
+        assert validate_params(structure, params).ok
+        for original in (params.moduli[0], params):
+            kept = hash(original)  # computed before pickling
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and copy is not original
+            assert hash(copy) == kept
+        copy = pickle.loads(pickle.dumps(params))
+        assert validate_params(structure, copy) is validate_params(structure, params)
+        assert validations() == 1
 
     def test_invalid_pair_fails_on_every_call(self, validations):
         structure = AccessStructure((3,), (2,))
