@@ -10,7 +10,8 @@ valid field element. Two backends exist:
 
 Both backends hash a per-level prefix, (context, [seed,] level), followed by
 the element; the table backend verifies at construction that no two levels
-agree on every element of F_p.
+agree on every element of F_p. One digest formula, `_digests`, serves
+`hash_element`, `hash_vector`, `hash_poly` and that check.
 
 This module owns the rules of a hash configuration: `check_config` is the
 one place that tests the backend name, the seed pairing, the seed range and
@@ -111,10 +112,16 @@ class HashFamily:
     def table(cls, p: int, num_levels: int, seed: int) -> "HashFamily":
         return cls("table", p, num_levels, table_seed=seed)
 
+    def _digests(self, level: int, values) -> list[int]:
+        """h_level of each value, unchecked: the module's one digest formula."""
+        prefix, width, shift = self._prefixes[level - 1], self._width, 256 - self.output_bits
+        return [
+            int.from_bytes(sha256(prefix + v.to_bytes(width, "big")).digest(), "big") >> shift
+            for v in values
+        ]
+
     def _digest(self, level: int, value: int) -> int:
-        """h_level(value), unchecked: the module's one digest formula."""
-        data = self._prefixes[level - 1] + value.to_bytes(self._width, "big")
-        return int.from_bytes(sha256(data).digest(), "big") >> (256 - self.output_bits)
+        return self._digests(level, (value,))[0]
 
     def _checked(self, level: int, values: tuple[int, ...]) -> tuple[int, ...]:
         if not values:
@@ -131,10 +138,13 @@ class HashFamily:
         self._checked(level, (value,))
         return self._digest(level, value)
 
+    def hash_vector(self, level: int, coeffs) -> list[int]:
+        """h_level of each coefficient of a share vector, trailing zeros kept."""
+        return self._digests(level, self._checked(level, tuple(coeffs)))
+
     def hash_poly(self, level: int, coeffs) -> Poly:
         """Lift h_level coefficient-wise over a fixed-length share vector (outputs lie below p)."""
-        vector = self._checked(level, tuple(coeffs))
-        return _poly(self.p, _trim([self._digest(level, c) for c in vector]))
+        return _poly(self.p, _trim(self.hash_vector(level, coeffs)))
 
 
 def family_from_params(params, num_levels: int) -> HashFamily:

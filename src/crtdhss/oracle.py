@@ -296,9 +296,8 @@ def _count_states(view: CoalitionView) -> dict[tuple[int, ...], int]:
         modulus = params.moduli[i - 1]
         rows = [_residue_rows(view, level, modulus) for level in selected]
         padded = [entries[(level, i)].padded(degrees[i - 1]) for level in selected]
-        counts = Counter(
-            tuple(family.hash_element(level, v) for level in selected) for v in range(p)
-        )
+        digests = [family.hash_vector(level, range(p)) for level in selected]
+        counts = Counter(zip(*digests)) if digests else Counter({(): p})
         for k in range(degrees[i - 1]):
             free.append(([(r[k], e[k]) for r, e in zip(rows, padded)], counts))
 

@@ -76,7 +76,7 @@ class AccessStructure:
     def m(self) -> int:
         return len(self.level_sizes)
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         return sum(self.level_sizes)
 

@@ -19,8 +19,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InconsistentSharesError, MissingBulletinEntryError, UnauthorizedSubsetError
-from .fieldpoly import Poly, _poly, _residues, _sub, crt_combine
+from .errors import FieldMismatchError, InconsistentSharesError, MissingBulletinEntryError
+from .errors import UnauthorizedSubsetError
+from .fieldpoly import Poly, _add, _poly, _residues, _sub, _trim, crt_combine
 from .hashing import HashFamily
 from .params import AccessStructure, PublicParams, check_params, min_authorized_level
 
@@ -163,9 +164,9 @@ def deal_with_internals(
 
     entries: dict[tuple[int, int], Poly] = {}
     for level, i in keys:
-        # (f_l - h_l(c_i)) mod m_i, and h_l(c_i) has degree below d_i already
-        masked = family.hash_poly(level, shares[i - 1].coeffs).padded(params.degrees[i - 1])
-        entries[(level, i)] = _poly(params.p, _sub(residues[level - 1][i - 1], masked, params.p))
+        # (f_l - h_l(c_i)) mod m_i: f_l mod m_i and the digests of c_i both have d_i entries
+        digests = family.hash_vector(level, shares[i - 1].coeffs)
+        entries[(level, i)] = _poly(params.p, _sub(residues[level - 1][i - 1], digests, params.p))
 
     return tuple(shares), Bulletin(entries), masters
 
@@ -191,7 +192,11 @@ def unmask_share(family: HashFamily, bulletin: Bulletin, share: Share, use_level
     """
     key = (use_level, share.participant)
     if key in bulletin:
-        return family.hash_poly(use_level, share.coeffs) + bulletin.entry(*key)
+        entry, p = bulletin.entry(*key), family.p
+        if entry.p != p:
+            raise FieldMismatchError(f"mixed fields F_{p} and F_{entry.p}")
+        # `_add` keeps a longer operand as it is, so the digests are trimmed first
+        return _poly(p, _add(_trim(family.hash_vector(use_level, share.coeffs)), entry.coeffs, p))
     if share.level == use_level == family.num_levels:
         return Poly(family.p, share.coeffs)
     raise MissingBulletinEntryError(key)

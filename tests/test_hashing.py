@@ -5,7 +5,7 @@ import importlib.util
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -261,9 +261,10 @@ class TestHashPoly:
     )
     def test_refusals(self, level, vector, message):
         fam = HashFamily.crypto(11, 2)
-        with pytest.raises(ValueError) as refusal:
-            fam.hash_poly(level, vector)
-        assert str(refusal.value) == message
+        for method in (fam.hash_poly, fam.hash_vector):
+            with pytest.raises(ValueError) as refusal:
+                method(level, vector)
+            assert str(refusal.value) == message
 
     def test_one_digest_per_coefficient(self, monkeypatch):
         calls = []
@@ -274,10 +275,41 @@ class TestHashPoly:
 
         fam = HashFamily.crypto(2**61 - 1, 2)
         monkeypatch.setattr("crtdhss.hashing.sha256", counting)
-        for vector in ((5,), (0, 0, 0, 0), tuple(range(36))):
-            calls.clear()
-            fam.hash_poly(2, vector)
-            assert len(calls) == len(vector)
+        for method in (fam.hash_poly, fam.hash_vector):
+            for vector in ((5,), (0, 0, 0, 0), tuple(range(36))):
+                calls.clear()
+                method(2, vector)
+                assert len(calls) == len(vector)
+
+
+class TestHashVector:
+    VECTORS = [(0,), (0,) * 4, (1, 0, 0), (2, 1, 0, 0, 0)]
+
+    @pytest.mark.parametrize(
+        "backend, p, levels, seed",
+        [("table", 3, 2, 7), ("table", 13, 3, 1), ("crypto", 11, 2, None),
+         ("crypto", 2**61 - 1, 3, None)],
+    )
+    def test_equals_hash_element_per_coefficient(self, backend, p, levels, seed):
+        fam = HashFamily(backend, p, levels, table_seed=seed)
+        rng = random.Random(p)
+        vectors = [*self.VECTORS, (p - 1,) * 4, tuple(rng.randrange(p) for _ in range(6))]
+        for level in range(1, levels + 1):
+            for vector in vectors:
+                expected = [fam.hash_element(level, c) for c in vector]
+                assert fam.hash_vector(level, vector) == expected
+
+    def test_length_is_the_vector_length(self):
+        # at p = 3 a digest has one bit, so zero digests, trailing ones included, are common
+        fam = HashFamily.table(3, 2, 7)
+        zero_tops = 0
+        for length in range(1, 7):
+            for vector in product(range(3), repeat=length):
+                for level in (1, 2):
+                    digests = fam.hash_vector(level, vector)
+                    assert len(digests) == length
+                    zero_tops += digests[-1] == 0
+        assert zero_tops > 0
 
 
 class TestFamilyFromParams:

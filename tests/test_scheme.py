@@ -6,6 +6,7 @@ import random
 import pytest
 
 from crtdhss.errors import (
+    FieldMismatchError,
     InconsistentSharesError,
     InvalidParametersError,
     MissingBulletinEntryError,
@@ -318,3 +319,37 @@ class TestUnmask:
             unmask_share(family, gapped, shares[0], 1)
         with pytest.raises(MissingBulletinEntryError):
             reconstruct(structure, params, family, gapped, shares[:2])
+
+    def test_entry_from_another_field_is_refused(self):
+        _, _, family, shares, bulletin, _ = self.setup_shares()
+        foreign = Bulletin({**bulletin.entries, (1, 1): Poly(13, [12, 12])})
+        with pytest.raises(FieldMismatchError, match="mixed fields F_11 and F_13"):
+            unmask_share(family, foreign, shares[0], 1)
+
+
+class TestMaskNormalization:
+    """Masks and unmasked shares are normalized even where a top digest or residue is zero."""
+
+    @pytest.mark.parametrize("backend", ["table", "crypto"])
+    def test_entries_and_unmasked_shares(self, backend):
+        structure, params, family = make_setup(
+            11, (3, 3, 3), (1, 2, 3), [2] * 9, seed=4, backend=backend
+        )
+        p, untrimmed = params.p, 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            shares, bulletin, masters = deal_with_internals(
+                structure, params, family, random_secret(params, rng), rng
+            )
+            for (level, i), entry in bulletin.entries.items():
+                coeffs = shares[i - 1].coeffs
+                digests = family.hash_vector(level, coeffs)
+                residue = masters[level - 1] % params.moduli[i - 1]
+                assert entry == residue - Poly(p, digests)
+                unmasked = unmask_share(family, bulletin, shares[i - 1], level)
+                assert unmasked == family.hash_poly(level, coeffs) + entry
+                for f in (entry, unmasked):
+                    assert f.coeffs == Poly(p, f.coeffs).coeffs
+                untrimmed += len(entry.coeffs) < len(digests) and digests[-1] == 0
+        # cases where untrimmed digests would leave a zero on top of the sum
+        assert untrimmed > 0
