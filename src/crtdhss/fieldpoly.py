@@ -212,8 +212,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         p = self._check_divisor(other)
-        if len(self.coeffs) < len(other.coeffs):
-            return _poly(p, ()), self
         quot, rem = _divmod(self.coeffs, other.coeffs, p)
         return _poly(p, quot), _poly(p, rem)
 
@@ -225,8 +223,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         p = self._check_divisor(other)
-        if len(self.coeffs) < len(other.coeffs):
-            return self
         return _poly(p, _divmod(self.coeffs, other.coeffs, p)[1])
 
     def monic(self) -> "Poly":
@@ -396,8 +392,6 @@ def crt_combine(residues: Sequence[Poly], moduli: Sequence[Poly]) -> Poly:
         raise ValueError("every modulus must have degree at least 1")
     for f in (*moduli, *residues):
         p = moduli[0]._check_field(f)
-    if len(moduli) == 1:
-        return residues[0] % moduli[0]
     w, columns = _crt_basis(tuple(moduli))
     ys = []
     for r, m in zip(residues, moduli):

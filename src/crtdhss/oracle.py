@@ -203,15 +203,13 @@ def state_count(view: CoalitionView) -> int:
     return params.p ** (params.d0 + sum(alpha_lens) + sum(params.degrees[:n_random]))
 
 
-def _residue_rows(view: CoalitionView, level: int, modulus: Poly) -> list[tuple[int, ...]]:
+def _residue_rows(d0: int, alpha_lens: list, level: int, modulus: Poly) -> list[tuple[int, ...]]:
     """Row k: the weight of each outer digit in coefficient k of f_level mod `modulus`.
 
-    The outer digits are secret | alpha_1..alpha_m. f_level's coefficients
-    are the secret's d0 digits followed by alpha_level's, so each row of
+    The outer digits are secret | alpha_1..alpha_m (lengths `alpha_lens`). f_level's
+    coefficients are the secret's d0 digits followed by alpha_level's, so each row of
     x**j mod the modulus is split there and padded with the other levels' zeros.
     """
-    d0 = view.params.d0
-    alpha_lens = _layout(view.structure, view.params)[0]
     before, after = sum(alpha_lens[: level - 1]), sum(alpha_lens[level:])
     rows = _rows((modulus,), d0 + alpha_lens[level - 1])
     return [(*row[:d0], *(0,) * before, *row[d0:], *(0,) * after) for row in rows]
@@ -251,10 +249,10 @@ def _solve(checks: Sequence[tuple[Sequence[int], int]], n: int, p: int) -> Optio
 
 def _checks(view: CoalitionView) -> list[tuple[tuple[int, ...], int]]:
     """(row, want) over the outer digits: coefficient k of each pinned residue of f_l."""
-    checks = []
+    d0, alpha_lens, checks = view.params.d0, _layout(view.structure, view.params)[0], []
     for level, (mods, residues, _, _) in enumerate(view._levels, start=1):
         for mod, residue in zip(mods, residues):
-            checks += zip(_residue_rows(view, level, mod), residue.padded(mod.degree))
+            checks += zip(_residue_rows(d0, alpha_lens, level, mod), residue.padded(mod.degree))
     return checks
 
 
@@ -294,7 +292,7 @@ def _count_states(view: CoalitionView) -> dict[tuple[int, ...], int]:
         if i in view.coalition:
             continue
         modulus = params.moduli[i - 1]
-        rows = [_residue_rows(view, level, modulus) for level in selected]
+        rows = [_residue_rows(d0, alpha_lens, level, modulus) for level in selected]
         padded = [entries[(level, i)].padded(degrees[i - 1]) for level in selected]
         digests = [family.hash_vector(level, range(p)) for level in selected]
         counts = Counter(zip(*digests)) if digests else Counter({(): p})
@@ -444,14 +442,15 @@ def loss_entropy(view: CoalitionView, budget: EnumerationBudget = DEFAULT_BUDGET
 def crt_bruteforce(
     residues: Sequence[Poly],
     moduli: Sequence[Poly],
-    max_states: int = DEFAULT_BUDGET.max_states,
+    budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> Poly:
     """Solve a congruence system by trying every candidate polynomial.
 
     Scans all p**(sum of modulus degrees) polynomials below the product
     degree and demands exactly one solution, making it an independent check
     of CRT reconstruction. No coprimality is assumed: inconsistent systems
-    over non-coprime moduli are reported as having no solution.
+    over non-coprime moduli are reported as having no solution. The
+    `EnumerationBudget` bounds that scan before it starts.
     """
     if len(residues) != len(moduli) or not moduli:
         raise ValueError("need equally many residues and moduli, at least one")
@@ -462,9 +461,7 @@ def crt_bruteforce(
         if m.p != p:
             raise ValueError("moduli live in different fields")
     total_degree = sum(m.degree for m in moduli)
-    states = p**total_degree
-    if states > max_states:
-        raise BudgetExceededError(states, max_states)
+    budget.check(p**total_degree)
 
     wants = [c for r, m in zip(residues, moduli) for c in (r % m).padded(m.degree)]
     checks = list(zip(_rows(tuple(moduli), total_degree), wants))

@@ -8,6 +8,7 @@ it holds at least t_l members inside that prefix.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import random
@@ -88,10 +89,7 @@ class AccessStructure:
     def level_of(self, participant: int) -> int:
         if not 1 <= participant <= self.n:
             raise ValueError(f"participant index {participant} out of range 1..{self.n}")
-        for level, bound in enumerate(self.prefix_counts, start=1):
-            if participant <= bound:
-                return level
-        raise AssertionError("unreachable")
+        return bisect.bisect_left(self.prefix_counts, participant) + 1
 
 
 @dataclass(frozen=True)

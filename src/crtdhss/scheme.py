@@ -120,6 +120,7 @@ def _layout(structure: AccessStructure, params: PublicParams) -> tuple[list, int
 def _master_polys(
     structure: AccessStructure,
     params: PublicParams,
+    alpha_lens: Sequence[int],
     secret: tuple[int, ...],
     rng: random.Random,
 ) -> tuple[tuple[Poly, ...], list[list[tuple[int, ...]]]]:
@@ -127,7 +128,7 @@ def _master_polys(
     # Draw order: alpha_1..alpha_m, then the random share vectors (caller).
     s_poly = Poly(params.p, secret)
     polys, residues = [], []
-    for alpha_len, bound in zip(_layout(structure, params)[0], structure.prefix_counts):
+    for alpha_len, bound in zip(alpha_lens, structure.prefix_counts):
         alpha = Poly(params.p, _draw_vector(rng, params.p, alpha_len))
         f = s_poly + alpha.shift(params.d0)
         assert _low(f, params.d0) == secret
@@ -151,8 +152,8 @@ def deal_with_internals(
     """Deal and also return the dealer's master polynomials (for audits/tests)."""
     _check_setup(structure, params, family)
     vector = _check_secret(params, secret)
-    masters, residues = _master_polys(structure, params, vector, rng)
-    _, n_random, keys = _layout(structure, params)
+    alpha_lens, n_random, keys = _layout(structure, params)
+    masters, residues = _master_polys(structure, params, alpha_lens, vector, rng)
 
     shares = []
     for i in range(1, structure.n + 1):
@@ -190,15 +191,15 @@ def unmask_share(family: HashFamily, bulletin: Bulletin, share: Share, use_level
     share vector; only a bottom-level share used at the bottom level is
     already the residue itself.
     """
-    key = (use_level, share.participant)
-    if key in bulletin:
-        entry, p = bulletin.entry(*key), family.p
+    key, p = (use_level, share.participant), family.p
+    entry = bulletin.entries.get(key)
+    if entry is not None:
         if entry.p != p:
             raise FieldMismatchError(f"mixed fields F_{p} and F_{entry.p}")
         # `_add` keeps a longer operand as it is, so the digests are trimmed first
         return _poly(p, _add(_trim(family.hash_vector(use_level, share.coeffs)), entry.coeffs, p))
     if share.level == use_level == family.num_levels:
-        return Poly(family.p, share.coeffs)
+        return Poly(p, share.coeffs)
     raise MissingBulletinEntryError(key)
 
 

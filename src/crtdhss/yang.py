@@ -26,6 +26,7 @@ from .scheme import (
     Bulletin,
     Share,
     _check_secret,
+    _layout,
     _master_polys,
     _open,
     _pool_shares,
@@ -50,7 +51,7 @@ def yang_deal_with_internals(
     """Deal and also return f_1, f_2 (for audits/tests)."""
     _check_two_level(structure, params)
     vector = _check_secret(params, secret)
-    masters, residues = _master_polys(structure, params, vector, rng)
+    masters, residues = _master_polys(structure, params, _layout(structure, params)[0], vector, rng)
     n1 = structure.level_sizes[0]
 
     shares = []

@@ -220,8 +220,23 @@ class TestPairwiseCoprime:
 
 class TestCrtCombine:
     def test_single_modulus_degenerates_to_reduction(self):
+        # One modulus takes the packed map like any other set: its columns are x**k, k < deg m.
         r, m = Poly(5, [1, 2, 3]), Poly(5, [2, 1])
         assert crt_combine([r], [m]) == r % m
+        rng = random.Random(26)
+        for p in (2, 13, 2**61 - 1, 2**64 - 59):
+            for degree in range(1, 7):
+                for lead in {1, rng.randrange(1, p)}:  # monic, and non-monic when p > 2
+                    m = Poly(p, [rng.randrange(p) for _ in range(degree)] + [lead])
+                    # zero, shorter than m, and longer than m (top coefficient nonzero)
+                    for length in (0, rng.randrange(1, degree + 1), degree + rng.randrange(2, 10)):
+                        top = [rng.randrange(1, p)] if length else []
+                        r = Poly(p, [rng.randrange(p) for _ in range(length - 1)] + top)
+                        assert len(r.coeffs) == length
+                        got = crt_combine([r], [m])
+                        assert got == r % m
+                        assert _desc(got) == gf_rem(_desc(r), _desc(m), p, ZZ)
+                        assert got.degree < degree
 
     def test_two_point_example(self):
         # y = 2 (mod x+1), y = 3 (mod x+2) over F_5 has solution 4x+1

@@ -11,6 +11,7 @@ import pytest
 from crtdhss import oracle, scheme
 from crtdhss.errors import BudgetExceededError, NoCrtSolutionError
 from crtdhss.fieldpoly import Poly, crt_combine, vectors
+from crtdhss.hashing import family_from_params
 from crtdhss.oracle import (
     MODE_COALITION,
     MODE_FULL,
@@ -538,6 +539,37 @@ class TestSolve:
             ]
             assert len(set(points)) == len(points) and set(points) == expected, checks
 
+    @pytest.mark.parametrize(
+        "sizes, thresholds, degrees, coalition",
+        [((2, 2, 3), (1, 2, 3), [1] * 7, {3, 5}), ((2, 3), (2, 3), [1, 2, 2, 2, 2], {1, 4})],
+        ids=["three_levels", "two_levels"],
+    )
+    def test_the_dealt_digits_meet_every_check(self, sizes, thresholds, degrees, coalition):
+        # A deal's own outer digits, secret | alpha_1..alpha_m, solve every check, and each
+        # level's rows modulo any m_i give f_l mod m_i: the rows place every alpha_l where it is.
+        structure, params = make_setup(11, sizes, thresholds, degrees)
+        family = family_from_params(params, structure.m)
+        p, d0 = params.p, params.d0
+        alpha_lens = scheme._layout(structure, params)[0]
+        for seed in range(5):
+            shares, bulletin, masters = scheme.deal_with_internals(
+                structure, params, family, (seed,), random.Random(seed)
+            )
+            digits = [seed]
+            for f, alpha_len in zip(masters, alpha_lens):
+                digits += f.padded(d0 + alpha_len)[d0:]
+            view = CoalitionView(
+                structure, params, family, coalition,
+                {i: shares[i - 1].coeffs for i in coalition}, bulletin,
+            )
+            checks = oracle._checks(view)
+            assert checks and all(sum(map(mul, row, digits)) % p == w for row, w in checks)
+            for level, f in enumerate(masters, start=1):
+                for m in params.moduli:
+                    rows = oracle._residue_rows(d0, alpha_lens, level, m)
+                    got = [sum(map(mul, row, digits)) % p for row in rows]
+                    assert got == list((f % m).padded(m.degree))
+
     @pytest.mark.parametrize("mode", [MODE_COALITION, MODE_FULL])
     def test_overdetermined_level_with_a_tampered_share(self, mode, monkeypatch):
         # Valid parameters never overdetermine a level: condition iii keeps
@@ -887,4 +919,4 @@ class TestCrtBruteforce:
         moduli = [Poly(5, [1, 0, 0, 0, 1]), Poly(5, [2, 0, 0, 0, 1])]
         residues = [Poly(5, [0]), Poly(5, [0])]
         with pytest.raises(BudgetExceededError):
-            crt_bruteforce(residues, moduli, max_states=100)
+            crt_bruteforce(residues, moduli, EnumerationBudget(100))

@@ -4,6 +4,7 @@ import collections
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 import sympy
@@ -66,6 +67,23 @@ class TestAccessStructure:
         s = AccessStructure((2, 2), (1, 2))
         with pytest.raises(ValueError):
             s.level_of(5)
+
+    # Four levels of size 1 cannot be built (t_l rises with l and t_l <= n_l), so the four-level
+    # case takes the smallest sizes that can, n_l = l.
+    @pytest.mark.parametrize(
+        "sizes, thresholds",
+        [((5,), (3,)), ((1, 2, 3, 4), (1, 2, 3, 4)), ((3, 4), (2, 3)), ((4, 8, 12), (3, 6, 9))],
+        ids=["one_level", "four_levels", "two_levels", "wide_session"],
+    )
+    def test_level_of_matches_a_scan_of_the_prefix_counts(self, sizes, thresholds):
+        s = AccessStructure(sizes, thresholds)
+        for i in range(1, s.n + 1):
+            scanned = next(l for l, bound in enumerate(s.prefix_counts, 1) if i <= bound)
+            assert s.level_of(i) == scanned
+        for i in (0, -1, s.n + 1):
+            message = f"participant index {i} out of range 1..{s.n}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                s.level_of(i)
 
 
 class TestValidateParams:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from crtdhss import oracle, scheme, yang
 from crtdhss.errors import (
     FieldMismatchError,
     InconsistentSharesError,
@@ -41,6 +42,19 @@ def make_setup(p, level_sizes, thresholds, degrees, d0=1, seed=0, backend="crypt
     family = family_from_params(params, structure.m)
     assert validate_params(structure, params).ok
     return structure, params, family
+
+
+def count_layout_calls(monkeypatch):
+    """Count `scheme._layout` calls, through each module that imports the name."""
+    calls, layout = [], scheme._layout
+
+    def counted(*args):
+        calls.append(args)
+        return layout(*args)
+
+    for module in (scheme, yang, oracle):
+        monkeypatch.setattr(module, "_layout", counted)
+    return calls
 
 
 def random_secret(params, rng):
@@ -95,6 +109,30 @@ class TestDeal:
         deal(structure, params, family, (4,), random.Random(0))
         after = _power_columns.cache_info()
         assert after.hits + after.misses - before.hits - before.misses == structure.m
+
+    def test_a_deal_lays_out_once(self, monkeypatch):
+        calls = count_layout_calls(monkeypatch)
+        structure, params, family = make_setup(11, (2, 2, 3), (1, 2, 3), [1] * 7, seed=3)
+        deal(structure, params, family, (4,), random.Random(0))
+        assert len(calls) == 1
+
+    def test_a_yang_deal_lays_out_once(self, monkeypatch):
+        calls = count_layout_calls(monkeypatch)
+        structure, params, _ = make_setup(11, (3, 4), (2, 3), [1] * 7)
+        yang.yang_deal(structure, params, (4,), random.Random(0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["coalition", "full"])
+    def test_enumeration_lays_out_the_same_for_any_coalition_size(self, monkeypatch, mode):
+        # audit-size: p = 13, d0 = 1, table hash; {2, 3} is unauthorized under (1, 3)/(1, 3)
+        structure, params, _ = make_setup(13, (1, 3), (1, 3), [1, 2, 2, 2], backend="table")
+        calls, counts = count_layout_calls(monkeypatch), []
+        for coalition in ({2}, {2, 3}):
+            view, _ = oracle.observe_coalition(structure, params, coalition, mode, random.Random(1))
+            calls.clear()
+            oracle.enumerate_consistent(view)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_degree_discipline(self):
         structure, params, family = make_setup(
