@@ -167,6 +167,65 @@ MUTANTS = (
         "False",
         ("tests/test_oracle.py::TestTupleCounts::test_candidate_breaking_a_pinned_residue_is_refused",),
     ),
+    Mutant(
+        "coprime_product_not_accumulated",
+        "src/crtdhss/fieldpoly.py",
+        "        product *= f\n",
+        "        product = f\n",
+        (
+            "tests/test_fieldpoly.py::TestPairwiseCoprime::test_every_small_list_over_f2",
+            "tests/test_fieldpoly.py::TestPairwiseCoprime::test_factor_shared_only_by_non_neighbours",
+        ),
+    ),
+    Mutant(
+        "master_alpha_before_secret",
+        "src/crtdhss/scheme.py",
+        "digits = secret + _draw_vector(rng, params.p, alpha_len)",
+        "digits = _draw_vector(rng, params.p, alpha_len) + secret",
+        (
+            "tests/test_scheme.py::TestDeal::test_masters_are_the_secret_then_alpha_digits[2]",
+            "tests/test_scheme.py::TestDeal::test_masters_are_the_secret_then_alpha_digits[3]",
+            "tests/test_yang.py::TestYangReconstruct::test_mixed_coalition_needs_its_mask",
+        ),
+    ),
+    Mutant(
+        "yang_zero_mask_read_as_absent",
+        "src/crtdhss/yang.py",
+        "if entry is None and share.level != level:",
+        "if not entry and share.level != level:",
+        ("tests/test_yang.py::TestYangReconstruct::test_a_zero_mask_is_still_a_mask",),
+    ),
+    Mutant(
+        "crt_basis_one_bit_narrower",
+        "src/crtdhss/fieldpoly.py",
+        "w = ((len(total) - 1) * (p - 1) ** 2).bit_length()",
+        "w = ((len(total) - 1) * (p - 1) ** 2).bit_length() - 1",
+        (
+            "tests/test_fieldpoly.py::TestCrtColumns::test_small_fields_on_full_residues[2]",
+            "tests/test_fieldpoly.py::TestCrtColumns::test_cross_pairs[2-2305843009213693951]",
+        ),
+    ),
+    Mutant(
+        "layout_every_share_random",
+        "src/crtdhss/scheme.py",
+        "n_random = prefix[-2] if structure.m > 1 else 0",
+        "n_random = prefix[-1]",
+        (
+            "tests/test_scheme.py::TestDeal::test_single_level_has_empty_bulletin_and_residue_shares",
+            "tests/test_scheme.py::TestDeal::test_bulletin_index_set_is_exact",
+            "tests/test_scheme.py::TestUnmask::test_bottom_level_share_passes_through",
+        ),
+    ),
+    Mutant(
+        "residues_one_slot_short",
+        "src/crtdhss/fieldpoly.py",
+        "tuple(itertools.islice(slots, m.degree))",
+        "tuple(itertools.islice(slots, m.degree - 1))",
+        (
+            "tests/test_fieldpoly.py::TestPowerColumns::test_cross_pairs",
+            "tests/test_scheme.py::TestDeal::test_masters_are_the_secret_then_alpha_digits[3]",
+        ),
+    ),
 )
 
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)")

@@ -86,8 +86,6 @@ def _sub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -110,8 +108,6 @@ def _divmod(a: Sequence[int], b: tuple[int, ...], p: int) -> tuple[tuple[int, ..
     unreduced, skipping b's zero coefficients (dividing by x**k truncates)."""
     db = len(b) - 1
     n = len(a) - db
-    if n <= 0:
-        return (), _trim([c % p for c in a])
     rem = list(a)
     inv = pow(b[-1], -1, p)
     terms = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
@@ -318,13 +314,15 @@ def vectors(p: int, length: int) -> Iterator[tuple[int, ...]]:
 
 
 def is_pairwise_coprime(polys: Sequence[Poly]) -> bool:
-    """True iff the gcd of every pair is a unit. Zero polynomials are rejected."""
+    """True iff the gcd of every pair is a unit, in one pass: F_p[x] is a PID, so f is coprime to
+    each polynomial before it exactly when it is coprime to their product. Zero is rejected."""
     if any(f.is_zero for f in polys):
         raise ValueError("zero polynomial has no coprimality relation")
-    for i, f in enumerate(polys):
-        for g in polys[i + 1:]:
-            if poly_gcd(f, g).degree:
-                return False
+    product = Poly.one(polys[0].p) if polys else None
+    for f in polys:
+        if poly_gcd(product, f).degree:
+            return False
+        product *= f
     return True
 
 

@@ -135,8 +135,7 @@ class HashFamily:
 
     def hash_element(self, level: int, value: int) -> int:
         """h_level(value), a deterministic element of [0, 2**output_bits)."""
-        self._checked(level, (value,))
-        return self._digest(level, value)
+        return self.hash_vector(level, (value,))[0]
 
     def hash_vector(self, level: int, coeffs) -> list[int]:
         """h_level of each coefficient of a share vector, trailing zeros kept."""

@@ -199,8 +199,7 @@ def min_authorized_level(structure: AccessStructure, subset: Iterable[int]) -> O
     """Smallest level whose threshold the subset meets, or None."""
     members = set(subset)
     for i in members:
-        if not 1 <= i <= structure.n:
-            raise ValueError(f"participant index {i} out of range 1..{structure.n}")
+        structure.level_of(i)  # raises for an index outside 1..n
     for level, (bound, t) in enumerate(
         zip(structure.prefix_counts, structure.thresholds), start=1
     ):
@@ -261,13 +260,12 @@ def is_irreducible(f: Poly) -> bool:
         return True
     p = f.p
     x = Poly.x_power(p, 1)
-    one = Poly.one(p)
     u = frobenius = pow_mod(x, p, f)
     for _ in range(d // 2 - 1):
-        if poly_gcd(u - x, f) != one:
+        if poly_gcd(u - x, f).degree:
             return False
         u = _compose_mod(u, frobenius, f)
-    return poly_gcd(u - x, f) == one
+    return not poly_gcd(u - x, f).degree
 
 
 def _linear_moduli(p: int, count: int, rng: random.Random) -> list[Poly]:
@@ -343,11 +341,11 @@ def generate_moduli(
     if any(a > b for a, b in zip(profile, profile[1:])):
         raise ValueError("degree profile must be nondecreasing")
 
-    by_degree: dict[int, list[Poly]] = {}
-    for degree in sorted(set(profile)):
-        count = profile.count(degree)
+    moduli: list[Poly] = []
+    for degree, run in itertools.groupby(profile):  # each degree draws once, in ascending order
+        count = len(list(run))
         if degree == 1:
-            by_degree[degree] = _linear_moduli(p, count, rng)
+            moduli += _linear_moduli(p, count, rng)
         else:
-            by_degree[degree] = _higher_degree_moduli(p, degree, count, rng)
-    return tuple(by_degree[d].pop(0) for d in profile)
+            moduli += _higher_degree_moduli(p, degree, count, rng)
+    return tuple(moduli)

@@ -126,20 +126,12 @@ def _master_polys(
 ) -> tuple[tuple[Poly, ...], list[list[tuple[int, ...]]]]:
     """f_1..f_m, and residues[l - 1][i - 1] = f_l mod m_i padded to d_i for each i <= N_l."""
     # Draw order: alpha_1..alpha_m, then the random share vectors (caller).
-    s_poly = Poly(params.p, secret)
     polys, residues = [], []
     for alpha_len, bound in zip(alpha_lens, structure.prefix_counts):
-        alpha = Poly(params.p, _draw_vector(rng, params.p, alpha_len))
-        f = s_poly + alpha.shift(params.d0)
-        assert _low(f, params.d0) == secret
-        polys.append(f)
-        residues.append(_residues(f.coeffs, params.moduli[:bound], params.d0 + alpha_len))
+        digits = secret + _draw_vector(rng, params.p, alpha_len)  # f_l = secret | alpha_l
+        polys.append(Poly(params.p, digits))
+        residues.append(_residues(digits, params.moduli[:bound], len(digits)))
     return tuple(polys), residues
-
-
-def _low(f: Poly, d0: int) -> tuple[int, ...]:
-    """f mod x**d0 as d0 coefficients: the secret a master polynomial carries."""
-    return (f.coeffs + (0,) * d0)[:d0]
 
 
 def deal_with_internals(
@@ -217,7 +209,7 @@ def _open(
             "reconstructed polynomial exceeds its degree bound; shares are "
             "tampered or mismatched"
         )
-    return _low(f, params.d0)
+    return (f.coeffs + (0,) * params.d0)[: params.d0]  # f mod x**d0: the secret f_l carries
 
 
 def _recover(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .errors import AttackNotApplicableError
+from .errors import AttackNotApplicableError, MissingBulletinEntryError
 from .fieldpoly import Poly, _poly, _sub, crt_combine
 from .params import AccessStructure, PublicParams, check_params
 from .scheme import (
@@ -89,9 +89,10 @@ def yang_reconstruct(
 
     def unmask(share: Share, level: int) -> Poly:
         # An unmasked share is a residue of its own level's f_l; a mask moves it to another.
-        if share.level == level and (level, share.participant) not in masks:
-            return share.poly(params.p)
-        return share.poly(params.p) + masks.entry(level, share.participant)
+        entry = masks.entries.get(key := (level, share.participant))
+        if entry is None and share.level != level:
+            raise MissingBulletinEntryError(key)
+        return share.poly(params.p) if entry is None else share.poly(params.p) + entry
 
     return _recover(structure, params, shares, unmask)
 

@@ -217,6 +217,41 @@ class TestPairwiseCoprime:
         with pytest.raises(ValueError):
             is_pairwise_coprime([Poly.zero(5)])
 
+    @staticmethod
+    def pairwise(polys):
+        # the definition: every pair has a unit gcd
+        return all(poly_gcd(f, g).degree == 0 for f, g in itertools.combinations(polys, 2))
+
+    def test_every_small_list_over_f2(self):
+        # all 2,801 lists of 0-4 nonzero polynomials of degree <= 2 over F_2, units included
+        nonzero = [Poly(2, c) for c in itertools.product(range(2), repeat=3) if any(c)]
+        for size in range(5):
+            for polys in itertools.product(nonzero, repeat=size):
+                assert is_pairwise_coprime(polys) == self.pairwise(polys)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_seeded_sample(self, p):
+        # 1,500 lists of 0-6 nonzero polynomials of degree <= 3, units included
+        rng, verdicts = random.Random(p), []
+        for _ in range(1500):
+            polys = []
+            for _ in range(rng.randrange(7)):
+                low = [rng.randrange(p) for _ in range(rng.randrange(4))]
+                polys.append(Poly(p, low + [rng.randrange(1, p)]))
+            verdicts.append(is_pairwise_coprime(polys))
+            assert verdicts[-1] == self.pairwise(polys)
+        assert True in verdicts and False in verdicts
+
+    def test_factor_shared_only_by_non_neighbours(self):
+        # x + 1 divides the first and the third; each neighbouring pair is coprime
+        polys = [Poly(5, [1, 1]), Poly(5, [2, 1]), Poly(5, [1, 1]) * Poly(5, [3, 1])]
+        assert all(poly_gcd(f, g).degree == 0 for f, g in zip(polys, polys[1:]))
+        assert not self.pairwise(polys)
+        assert not is_pairwise_coprime(polys)
+
+    def test_empty_list_is_vacuous(self):
+        assert is_pairwise_coprime([])
+
 
 class TestCrtCombine:
     def test_single_modulus_degenerates_to_reduction(self):

@@ -162,6 +162,44 @@ class TestDeal:
         for f in masters:
             assert (f % params.secret_modulus).padded(2) == secret
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_masters_are_the_secret_then_alpha_digits(self, p):
+        # f_l = Poly(p, secret | alpha_l), alpha_l replayed from the deal's Random; at p = 2 and 3
+        # many of these digit vectors end in zeros, so f_l has fewer coefficients than digits
+        structure, params, family = make_setup(p, (1, 2), (1, 2), [2, 3, 3], d0=2)
+        alpha_lens = [sum(params.degrees[:t]) - params.d0 for t in structure.thresholds]
+        trailing_zeros = 0
+        for secret in itertools.product(range(p), repeat=params.d0):
+            if all(secret):
+                continue
+            for seed in range(12):
+                replay = random.Random(seed)
+                alphas = [tuple(replay.randrange(p) for _ in range(n)) for n in alpha_lens]
+                expected = tuple(Poly(p, secret + alpha) for alpha in alphas)
+                trailing_zeros += sum((secret + alpha)[-1] == 0 for alpha in alphas)
+
+                masters, residues = scheme._master_polys(
+                    structure, params, alpha_lens, secret, random.Random(seed)
+                )
+                assert masters == expected
+                for f, bound, rows in zip(masters, structure.prefix_counts, residues):
+                    assert len(rows) == bound
+                    for m, row in zip(params.moduli, rows):
+                        assert row == (f % m).padded(m.degree)
+
+                _, _, masters = deal_with_internals(
+                    structure, params, family, secret, random.Random(seed)
+                )
+                assert masters == expected
+                shares, _, masters = yang.yang_deal_with_internals(
+                    structure, params, secret, random.Random(seed)
+                )
+                assert masters == expected
+                for share in shares:
+                    m = params.moduli[share.participant - 1]
+                    assert share.coeffs == (masters[share.level - 1] % m).padded(m.degree)
+        assert trailing_zeros > 0
+
     def test_wrong_secret_length(self):
         structure, params, family = make_setup(11, (3,), (2,), [1, 1, 1])
         with pytest.raises(ValueError):

@@ -8,16 +8,19 @@ import pytest
 from crtdhss.errors import (
     AttackNotApplicableError,
     InconsistentSharesError,
+    MissingBulletinEntryError,
     UnauthorizedSubsetError,
 )
+from crtdhss.fieldpoly import Poly
 from crtdhss.params import (
     AccessStructure,
     PublicParams,
     generate_moduli,
     is_authorized,
+    min_authorized_level,
     validate_params,
 )
-from crtdhss.scheme import Share
+from crtdhss.scheme import Bulletin, Share
 from crtdhss.yang import (
     yang_attack,
     yang_deal,
@@ -83,6 +86,26 @@ class TestYangReconstruct:
         shares, masks = yang_deal(structure, params, secret, random.Random(2))
         picked = [shares[0], shares[3], shares[4]]  # level-2 threshold via one mask
         assert yang_reconstruct(structure, params, masks, picked) == secret
+
+    def test_mixed_coalition_needs_its_mask(self):
+        structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=5)
+        shares, masks = yang_deal(structure, params, (9,), random.Random(2))
+        picked = [shares[0], shares[3], shares[4]]
+        assert min_authorized_level(structure, (1, 4, 5)) == 2
+        assert yang_reconstruct(structure, params, masks, picked) == (9,)
+        without = Bulletin({key: w for key, w in masks.entries.items() if key != (2, 1)})
+        with pytest.raises(MissingBulletinEntryError):
+            yang_reconstruct(structure, params, without, picked)
+
+    def test_a_zero_mask_is_still_a_mask(self):
+        # c_1 = f_2 mod m_1 publishes w_1 = 0, a falsy Poly that must not read as absent
+        structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=5)
+        shares, masks, masters = yang_deal_with_internals(structure, params, (9,), random.Random(2))
+        m1 = params.moduli[0]
+        forged = Share(1, 1, (masters[1] % m1).padded(m1.degree))
+        entries = {**masks.entries, (2, 1): Poly.zero(11)}
+        picked = [forged, shares[3], shares[4]]
+        assert yang_reconstruct(structure, params, Bulletin(entries), picked) == (9,)
 
     def test_unauthorized_pair_rejected_by_honest_path(self):
         structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=5)
