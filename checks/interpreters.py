@@ -10,10 +10,16 @@ imports pytest, it then runs the tier-1 suite under it. Every interpreter gets a
 none is skipped silently. The script exits 1 if an interpreter cannot run the ceremony, writes a
 different hash, or fails tier-1.
 
+With `--against DIR` it instead runs the ceremony under the running interpreter twice, on
+`DIR/src` and on this checkout's `src/`, and prints each label whose hash differs: a check that
+a change keeps every byte of another checkout, such as its parent commit. It exits 1 if a hash
+differs or a command exits with a code the ceremony does not expect.
+
 Stdlib only; it installs nothing. A PYTHONPATH set in the environment is kept after `src/`, so
 test packages can be lent to an interpreter that has none.
 
     python checks/interpreters.py PYTHON ...   # e.g. python3.10 python3.12 python3.13
+    python checks/interpreters.py --against DIR   # e.g. a `git archive` of the parent commit
 """
 
 from __future__ import annotations
@@ -183,9 +189,34 @@ def _version(python: str) -> str:
     return run.stdout.strip() or "unknown version"
 
 
+def _differing(reference: dict[str, str], hashes: dict[str, str]) -> list[str]:
+    return sorted(k for k in reference.keys() | hashes.keys() if reference.get(k) != hashes.get(k))
+
+
+def against(other: Path) -> int:
+    """Compare the ceremony's hashes on `other`/src with this checkout's, under this interpreter."""
+    start = time.perf_counter()
+    try:
+        theirs, ours = ceremony(sys.executable, other / "src"), ceremony(sys.executable)
+    except (OSError, RuntimeError, subprocess.TimeoutExpired) as exc:
+        print(f"FAILED: the ceremony did not run: {exc}")
+        return 1
+    differ = _differing(theirs, ours)
+    total = len(theirs.keys() | ours.keys())
+    print(
+        f"{total - len(differ)} of {total} hashes identical on {other / 'src'} and {ROOT / 'src'}"
+        f" under {_version(sys.executable)} ({time.perf_counter() - start:.1f} s)"
+    )
+    for key in differ:
+        print(f"       differs: {key}")
+    return 1 if differ else 0
+
+
 def main(interpreters: list[str]) -> int:
-    if not interpreters:
-        sys.exit("usage: python checks/interpreters.py PYTHON ...")
+    if interpreters[:1] == ["--against"] and len(interpreters) == 2:
+        return against(Path(interpreters[1]))
+    if not interpreters or interpreters[0].startswith("-"):
+        sys.exit("usage: python checks/interpreters.py PYTHON ... | --against DIR")
     start = time.perf_counter()
     reference = ceremony(sys.executable)
     print(f"reference {_version(sys.executable)} ({sys.executable}): {len(reference)} hashes")
@@ -198,8 +229,7 @@ def main(interpreters: list[str]) -> int:
             print(f"FAILED {label}: the ceremony did not run: {exc}")
             failed = True
             continue
-        keys = reference.keys() | hashes.keys()
-        differ = sorted(k for k in keys if reference.get(k) != hashes.get(k))
+        differ = _differing(reference, hashes)
         passed, tests = _tier1(python)
         verdict = "ok    " if passed and not differ else "FAILED"
         failed |= verdict == "FAILED"

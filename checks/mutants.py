@@ -132,8 +132,8 @@ MUTANTS = (
     Mutant(
         "degenerate_seed_any_for_all",
         "src/crtdhss/hashing.py",
-        "if all(self._digest(i, v) == self._digest(j, v) for v in range(self.p)):",
-        "if any(self._digest(i, v) == self._digest(j, v) for v in range(self.p)):",
+        "if all(self._digests(i, (v,)) == self._digests(j, (v,)) for v in range(self.p)):",
+        "if any(self._digests(i, (v,)) == self._digests(j, (v,)) for v in range(self.p)):",
         (
             "tests/test_hashing.py::TestDigestFormula::test_degenerate_verdict_is_exact[2]",
             "tests/test_hashing.py::TestDigestFormula::test_degenerate_verdict_is_exact[3]",
@@ -226,9 +226,69 @@ MUTANTS = (
             "tests/test_scheme.py::TestDeal::test_masters_are_the_secret_then_alpha_digits[3]",
         ),
     ),
+    Mutant(
+        "mulmod_one_bit_narrower",
+        "src/crtdhss/fieldpoly.py",
+        "w = 2 * p.bit_length() + d.bit_length() + 1",
+        "w = 2 * p.bit_length() + d.bit_length()",
+        (
+            "tests/test_fieldpoly.py::TestPackingWidth::test_near_full_operands[3]",
+            "tests/test_fieldpoly.py::TestPackingWidth::test_near_full_operands[5]",
+        ),
+    ),
+    Mutant(
+        "rows_one_row_short",
+        "src/crtdhss/fieldpoly.py",
+        "total = sum(m.degree for m in moduli)\n",
+        "total = sum(m.degree for m in moduli) - 1\n",
+        (
+            "tests/test_fieldpoly.py::TestPowerColumns::test_rows_of_one_modulus",
+            "tests/test_oracle.py::TestCrtBruteforce::test_inconsistent_non_coprime_system",
+        ),
+    ),
+    Mutant(
+        "x_multiples_top_slot_unreduced",
+        "src/crtdhss/fieldpoly.py",
+        "col = (col & below) + (col >> d * w) % p * low",
+        "col = (col & below) + (col >> d * w) * low",
+        ("tests/test_fieldpoly.py::TestPowerColumns::test_cross_pairs",),
+    ),
+    Mutant(
+        "count_states_counts_points",
+        "src/crtdhss/oracle.py",
+        "histogram[secret] = histogram.get(secret, 0) + weight",
+        "histogram[secret] = histogram.get(secret, 0) + 1",
+        (
+            "tests/test_oracle.py::TestEnumerateConsistent"
+            "::test_histogram_total_factorizes_through_tuple_count",
+            "tests/test_oracle.py::TestDealerReplay::test_tiny_setup_both_modes",
+        ),
+    ),
+    Mutant(
+        "check_system_skips_residue_fields",
+        "src/crtdhss/fieldpoly.py",
+        "    for f in (*moduli, *residues):\n",
+        "    for f in moduli:\n",
+        (
+            "tests/test_oracle.py::TestCrtBruteforce"
+            "::test_malformed_system_refused_as_crt_combine_refuses[mixed-residue]",
+        ),
+    ),
+    Mutant(
+        "exit_table_generic_row_first",
+        "src/crtdhss/cli.py",
+        "_ERRORS_TO_EXIT = (\n",
+        "_ERRORS_TO_EXIT = (\n    ((ValueError, KeyError, OSError), 2),\n",
+        (
+            "tests/test_cli.py::TestGenParams::test_exhausted_degree_class_exit_3",
+            "tests/test_cli.py::TestDealReconstruct::test_corrupted_share_exit_5",
+        ),
+    ),
 )
 
-_OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)")
+# A node id may hold spaces (a parametrized id such as "[degree overflow]"); a failure's
+# summary line appends " - " and the error.
+_OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (.+?)(?: - .*)?$")
 
 
 def _copy_tree(dest: Path) -> None:

@@ -51,11 +51,9 @@ _ERRORS_TO_EXIT = (
     (InconsistentSharesError, 5),
     (AttackNotApplicableError, 6),
     (BudgetExceededError, 7),
+    # Last: every error above is a ValueError, so this row would shadow them.
+    ((ValueError, KeyError, OSError), 2),
 )
-
-
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
 
 
 def _csv_ints(text: str, what: str) -> tuple[int, ...]:
@@ -312,11 +310,8 @@ def main(argv=None) -> int:
     except BaseException as exc:
         for error_type, code in _ERRORS_TO_EXIT:
             if isinstance(exc, error_type):
-                _fail(str(exc))
+                print(f"error: {exc}", file=sys.stderr)
                 return code
-        if isinstance(exc, (ValueError, KeyError, OSError)):
-            _fail(str(exc))
-            return 2
         raise
 
 

@@ -377,11 +377,8 @@ def _crt_basis(moduli: tuple[Poly, ...]) -> tuple[int, tuple[int, ...]]:
     return w, tuple(_x_multiples(starts, _monic(total, p), w, p, reduce=True))
 
 
-def crt_combine(residues: Sequence[Poly], moduli: Sequence[Poly]) -> Poly:
-    """Solve y = residues[i] (mod moduli[i]) for pairwise-coprime moduli of degree >= 1 each.
-
-    The unique solution of degree below sum(deg m_i) is sum y_ik col_ik over the columns of
-    `_crt_basis`, y_ik coefficient k of residue i reduced mod m_i: one packed sum, % p per slot."""
+def _check_system(residues: Sequence[Poly], moduli: Sequence[Poly]) -> int:
+    """p of a well-formed system: the one contract of `crt_combine` and `oracle.crt_bruteforce`."""
     if len(residues) != len(moduli):
         raise ValueError("residue and modulus counts differ")
     if not moduli:
@@ -390,6 +387,15 @@ def crt_combine(residues: Sequence[Poly], moduli: Sequence[Poly]) -> Poly:
         raise ValueError("every modulus must have degree at least 1")
     for f in (*moduli, *residues):
         p = moduli[0]._check_field(f)
+    return p
+
+
+def crt_combine(residues: Sequence[Poly], moduli: Sequence[Poly]) -> Poly:
+    """Solve y = residues[i] (mod moduli[i]) for pairwise-coprime moduli of degree >= 1 each.
+
+    The unique solution of degree below sum(deg m_i) is sum y_ik col_ik over the columns of
+    `_crt_basis`, y_ik coefficient k of residue i reduced mod m_i: one packed sum, % p per slot."""
+    p = _check_system(residues, moduli)
     w, columns = _crt_basis(tuple(moduli))
     ys = []
     for r, m in zip(residues, moduli):

@@ -98,7 +98,7 @@ class HashFamily:
         object.__setattr__(self, "_prefixes", prefixes)
         if self.backend == "table":
             for i, j in combinations(levels, 2):
-                if all(self._digest(i, v) == self._digest(j, v) for v in range(self.p)):
+                if all(self._digests(i, (v,)) == self._digests(j, (v,)) for v in range(self.p)):
                     raise ValueError(
                         f"degenerate table seed: levels {i} and {j} coincide; "
                         "pick a different seed"
@@ -119,9 +119,6 @@ class HashFamily:
             int.from_bytes(sha256(prefix + v.to_bytes(width, "big")).digest(), "big") >> shift
             for v in values
         ]
-
-    def _digest(self, level: int, value: int) -> int:
-        return self._digests(level, (value,))[0]
 
     def _checked(self, level: int, values: tuple[int, ...]) -> tuple[int, ...]:
         if not values:

@@ -47,7 +47,7 @@ from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, NoCrtSolutionError
-from .fieldpoly import Poly, _rows, crt_combine, vectors
+from .fieldpoly import Poly, _check_system, _rows, crt_combine, vectors
 from .hashing import HashFamily, family_from_params
 from .params import AccessStructure, PublicParams, is_authorized
 from .scheme import Bulletin, Share, _check_secret, _check_setup, _draw_vector, _layout
@@ -449,17 +449,11 @@ def crt_bruteforce(
     Scans all p**(sum of modulus degrees) polynomials below the product
     degree and demands exactly one solution, making it an independent check
     of CRT reconstruction. No coprimality is assumed: inconsistent systems
-    over non-coprime moduli are reported as having no solution. The
-    `EnumerationBudget` bounds that scan before it starts.
+    over non-coprime moduli are reported as having no solution. A malformed
+    system is refused exactly as `crt_combine` refuses it; the
+    `EnumerationBudget` then bounds the scan before it starts.
     """
-    if len(residues) != len(moduli) or not moduli:
-        raise ValueError("need equally many residues and moduli, at least one")
-    p = moduli[0].p
-    for m in moduli:
-        if m.degree < 1:
-            raise ValueError("every modulus must have degree at least 1")
-        if m.p != p:
-            raise ValueError("moduli live in different fields")
+    p = _check_system(residues, moduli)
     total_degree = sum(m.degree for m in moduli)
     budget.check(p**total_degree)
 

@@ -122,8 +122,6 @@ def yang_attack(
     f1_cap = sum(degrees[:t1])
 
     coalition = _pool_shares(structure, params, coalition_shares)
-    if not coalition:
-        raise AttackNotApplicableError("the coalition is empty")
     if any(i <= n1 for i in coalition):
         raise AttackNotApplicableError("this attack uses bottom-level shares only")
     if n1 < t2:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtdhss import oracle
+from crtdhss import cli, oracle
 from crtdhss import params as params_module
 from crtdhss.cli import build_parser, main
 from crtdhss.fileio import load_bulletin, load_params, load_share, save_share
@@ -188,6 +188,30 @@ class TestGenParams:
         )
         assert code == 2
         assert "--seed" in err
+
+    def test_os_entropy_opt_in_writes_params(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code, _, _ = run(
+            capsys,
+            "gen-params",
+            "--p", "11", "--levels", "3,4", "--thresholds", "2,3",
+            "--degrees", "1x7", "--allow-os-entropy",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert load_params(out)[1].degrees == (1,) * 7
+
+    def test_empty_degree_tokens_skipped(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code, _, _ = run(
+            capsys,
+            "gen-params",
+            "--p", "11", "--levels", "2,3", "--thresholds", "1,2",
+            "--degrees", "2x2,,2x3", "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert load_params(out)[1].degrees == (2,) * 5
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -737,6 +761,20 @@ class TestAnalyze:
         args = build_parser().parse_args(analyze)
         assert (args.budget, args.mode, args.seed) == (DEFAULT_BUDGET.max_states, "coalition", None)
         assert not hasattr(args, "out")
+
+
+def test_error_outside_the_exit_table_propagates(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("not an operator error")
+
+    monkeypatch.setattr(cli, "generate_moduli", broken)
+    with pytest.raises(ZeroDivisionError, match="not an operator error"):
+        main([
+            "gen-params", "--p", "11", "--levels", "3,4", "--thresholds", "2,3",
+            "--degrees", "1x7", "--seed", "1", "--out", str(tmp_path / "x.json"),
+        ])
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "x.json").exists()
 
 
 class TestParser:

@@ -93,6 +93,43 @@ class TestPolyBasics:
         assert str(Poly(5, [1, 3, 1])) == "x^2 + 3x + 1"
         assert str(Poly(5)) == "0"
 
+    def test_only_zero_is_falsy(self):
+        assert not Poly(13)
+        assert Poly(13, [0, 1])
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Poly(1, [1]), "field modulus must be at least 2"),
+            (
+                lambda: inverse_mod(Poly(13, [2]), Poly(13, [3])),
+                "modulus must have degree at least 1",
+            ),
+        ],
+        ids=["field below 2", "inverse modulo a constant"],
+    )
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda f: f + 1, "unsupported operand type(s) for +: 'Poly' and 'int'"),
+            (lambda f: f - 1, "unsupported operand type(s) for -: 'Poly' and 'int'"),
+            (lambda f: f * "a", "can't multiply sequence by non-int of type 'Poly'"),
+            (lambda f: f % 1, "unsupported operand type(s) for %: 'Poly' and 'int'"),
+            (lambda f: divmod(f, 1), "unsupported operand type(s) for divmod(): 'Poly' and 'int'"),
+        ],
+        ids=["add", "sub", "mul", "mod", "divmod"],
+    )
+    def test_non_poly_operand_refused(self, call, message):
+        # each operator returns NotImplemented, so Python raises its own TypeError
+        with pytest.raises(TypeError) as caught:
+            call(Poly(13, [1]))
+        assert str(caught.value) == message
+
 
 class TestAddMul:
     def test_additive_identity(self):

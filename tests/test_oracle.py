@@ -1,5 +1,6 @@
 """Exact-counting audits: preimage counts, histograms, entropy, CRT oracle."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ from operator import mul
 import pytest
 
 from crtdhss import oracle, scheme
-from crtdhss.errors import BudgetExceededError, NoCrtSolutionError
+from crtdhss.errors import BudgetExceededError, FieldMismatchError, NoCrtSolutionError
 from crtdhss.fieldpoly import Poly, crt_combine, vectors
 from crtdhss.hashing import family_from_params
 from crtdhss.oracle import (
@@ -920,3 +921,57 @@ class TestCrtBruteforce:
         residues = [Poly(5, [0]), Poly(5, [0])]
         with pytest.raises(BudgetExceededError):
             crt_bruteforce(residues, moduli, EnumerationBudget(100))
+
+    @pytest.mark.parametrize(
+        "residues, moduli, error, message",
+        [
+            ([], [], ValueError, "at least one congruence is required"),
+            ([Poly(5, [1])], [], ValueError, "residue and modulus counts differ"),
+            (
+                [Poly(5, [1])],
+                [Poly(5, [3])],
+                ValueError,
+                "every modulus must have degree at least 1",
+            ),
+            (
+                [Poly(5, [1]), Poly(5, [1])],
+                [Poly(5, [1, 1]), Poly(7, [1, 1])],
+                FieldMismatchError,
+                "mixed fields F_5 and F_7",
+            ),
+            ([Poly(7, [1])], [Poly(5, [1, 1])], FieldMismatchError, "mixed fields F_5 and F_7"),
+        ],
+        ids=["empty", "count-mismatch", "constant-modulus", "mixed-moduli", "mixed-residue"],
+    )
+    def test_malformed_system_refused_as_crt_combine_refuses(
+        self, residues, moduli, error, message
+    ):
+        for solve in (crt_combine, crt_bruteforce):
+            with pytest.raises(error) as caught:
+                solve(residues, moduli)
+            assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda view: EnumerationBudget(0), "budget must allow at least one state"),
+            (lambda view: histogram_entropy_bits({}), "histogram is empty"),
+            (
+                lambda view: dataclasses.replace(view, mode="partial"),
+                "mode must be one of ('coalition', 'full')",
+            ),
+            (
+                lambda view: dataclasses.replace(view, shares={4: view.shares[3]}),
+                "exactly the coalition members' shares are required",
+            ),
+        ],
+        ids=["zero budget", "empty histogram", "unknown mode", "shares of another member"],
+    )
+    def test_refused_with_its_message(self, call, message):
+        structure, params = theta_one_setup()
+        view, _ = observe_coalition(structure, params, {3})
+        with pytest.raises(ValueError) as caught:
+            call(view)
+        assert str(caught.value) == message

@@ -20,6 +20,7 @@ from crtdhss.hashing import family_from_params
 from crtdhss.params import (
     AccessStructure,
     PublicParams,
+    ValidationReport,
     check_params,
     generate_moduli,
     information_rate,
@@ -298,8 +299,45 @@ class TestIrreducibility:
         assert poly_gcd(f, Poly(3, [0, 1])) == Poly.one(3)
 
     def test_counts_match_formula(self):
-        for p, degree, expected in [(2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 3), (3, 3, 8), (5, 2, 10)]:
+        # degree 6 takes the Mobius function's branch for a composite with no square factor
+        cases = [
+            (2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 3), (3, 3, 8), (5, 2, 10), (2, 6, 9), (3, 6, 116)
+        ]
+        for p, degree, expected in cases:
             assert monic_irreducible_count(p, degree) == expected
+
+    @pytest.mark.parametrize(
+        "f, expected", [(Poly(5), False), (Poly(5, [3]), False), (Poly(5, [3, 1]), True)]
+    )
+    def test_degrees_below_two_decided_without_frobenius(self, f, expected):
+        assert is_irreducible(f) is expected
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AccessStructure((0, 2), (1, 2)), "every level must have at least one participant"),
+        (lambda: monic_irreducible_count(2, 0), "degree must be positive"),
+        (
+            lambda: generate_moduli(11, [], random.Random(0)),
+            "degree profile must be nonempty and positive",
+        ),
+        (
+            lambda: generate_moduli(11, [0, 2], random.Random(0)),
+            "degree profile must be nonempty and positive",
+        ),
+    ],
+    ids=["empty level", "degree 0 count", "empty profile", "degree 0 modulus"],
+)
+def test_refused_with_its_message(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_validation_report_is_true_exactly_when_valid():
+    assert ValidationReport()
+    assert not ValidationReport(("pairwise_coprime: some moduli share a factor",))
 
 
 class TestAuthorization:

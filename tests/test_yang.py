@@ -170,6 +170,14 @@ class TestYangAttack:
         with pytest.raises(AttackNotApplicableError):
             yang_attack(structure, params, masks, [shares[4]])
 
+    def test_empty_coalition_rejected_as_underweight(self):
+        # an empty coalition's degree sum is 0, below any first-level threshold weight
+        structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=5)
+        _, masks = yang_deal(structure, params, (3,), random.Random(2))
+        with pytest.raises(AttackNotApplicableError) as caught:
+            yang_attack(structure, params, masks, [])
+        assert str(caught.value) == "coalition degree sum is below the first-level threshold weight"
+
     def test_deterministic_given_fixed_inputs(self):
         structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=5)
         shares, masks = yang_deal(structure, params, (6,), random.Random(4))
