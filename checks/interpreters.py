@@ -62,6 +62,17 @@ SETS = {
         [("deal", "5", 7), ("yang", "5", 8), ("reconstruct", (1,)), ("reconstruct", (3, 4)),
          ("reconstruct", (2, 5)), ("attack", (3,))],
     ),
+    "mixed61": (
+        ["--p", M61, "--d0", "3", "--levels", "3", "--thresholds", "3", "--degrees", "3,5,8",
+         "--seed", "23"],
+        [("deal", "1,2,3", 24), ("reconstruct", (1, 2, 3))],
+    ),
+    "mixed64": (  # the largest prime below params.MAX_PRIME: the widest kernel slots
+        ["--p", str(2**64 - 59), "--d0", "1", "--levels", "2,3", "--thresholds", "1,2",
+         "--degrees", "2,3,3,4,4", "--seed", "25"],
+        [("deal", "5", 26), ("yang", "5", 27), ("reconstruct", (1,)), ("reconstruct", (3, 4)),
+         ("attack", (3,))],
+    ),
     "one_level13": (
         ["--p", "13", "--d0", "1", "--levels", "3", "--thresholds", "2", "--degrees", "1x3",
          "--seed", "9"],

@@ -237,6 +237,36 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "mulmod_fold_skips_top_slot",
+        "src/crtdhss/fieldpoly.py",
+        "for k in range(2 * d - 1, d - 1, -1)]",
+        "for k in range(2 * d - 2, d - 1, -1)]",
+        (
+            "tests/test_fieldpoly.py::TestPackingWidth::test_near_full_shifted_square[3]",
+            "tests/test_fieldpoly.py::TestPackingWidth::test_frobenius_over_mersenne_61[2]",
+        ),
+    ),
+    Mutant(
+        "pow_mod_shifts_on_zero_bits",
+        "src/crtdhss/fieldpoly.py",
+        "result = mulmod(result, result, 0, one and by_x)",
+        "result = mulmod(result, result, 0, by_x)",
+        (
+            "tests/test_fieldpoly.py::TestPackingWidth::test_near_full_shifted_square[2]",
+            "tests/test_params.py::TestIrreducibility::test_matches_trial_division_small_fields",
+        ),
+    ),
+    Mutant(
+        "divmod_inverse_skipped_for_non_monic",
+        "src/crtdhss/fieldpoly.py",
+        "inv = 1 if n < 1 or b[-1] == 1 else pow(b[-1], -1, p)",
+        "inv = 1",
+        (
+            "tests/test_fieldpoly.py::TestSympyCrossCheck::test_division",
+            "tests/test_fieldpoly.py::TestPowMod::test_non_monic_modulus_and_high_degree_base[2]",
+        ),
+    ),
+    Mutant(
         "rows_one_row_short",
         "src/crtdhss/fieldpoly.py",
         "total = sum(m.degree for m in moduli)\n",

@@ -109,7 +109,7 @@ def _divmod(a: Sequence[int], b: tuple[int, ...], p: int) -> tuple[tuple[int, ..
     db = len(b) - 1
     n = len(a) - db
     rem = list(a)
-    inv = pow(b[-1], -1, p)
+    inv = 1 if n < 1 or b[-1] == 1 else pow(b[-1], -1, p)  # no quotient term, or monic b
     terms = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
     quot = [0] * n
     for k in range(n - 1, -1, -1):
@@ -442,12 +442,15 @@ def _mulmod_by(modulus: Poly) -> tuple[Callable[[Poly], int], Callable[..., int]
     """(pack, mulmod, unpack): the product kernel modulo `modulus` (degree d >= 1).
 
     A residue packs into one int at w = 2 bits(p) + bits(d) + 1 bits per
-    coefficient (Kronecker substitution). mulmod(x, y, c=0) is x * y + c mod
-    `modulus`, packed: one big-int multiply leaves at most d (p - 1)**2 in a
-    slot; from the top down, each of the d - 1 high slots is reduced once and
-    folded into the d slots below it by x**k = x**(k - d) (x**d mod m), adding
-    at most (d - 1)(p - 1)**2 + c, so no slot reaches 2**w; the d low slots
-    then take one % p each. pack(f) reduces f modulo `modulus` first."""
+    coefficient (Kronecker substitution). mulmod(x, y, c=0, shift=False) is
+    (x * y + c) x**shift mod `modulus`, packed: one big-int multiply, shifted up
+    a slot if asked, leaves at most d (p - 1)**2 in a slot; from the top down,
+    each of the d high slots is reduced once and folded into the d slots below
+    it by x**k = x**(k - d) (x**d mod m). A slot then holds at most
+    (2d - 1)(p - 1)**2 + c, shifted or not: the slot of d products takes d - 1
+    folds and the slot of d folds holds d - 1 products. 2**(bits(d) + 1) > 2d,
+    so no slot reaches 2**w; the d low slots then take one % p each. pack(f)
+    reduces f modulo `modulus` first."""
     p = modulus.p
     m = _monic(modulus.coeffs, p)
     d = len(m) - 1
@@ -458,12 +461,12 @@ def _mulmod_by(modulus: Poly) -> tuple[Callable[[Poly], int], Callable[..., int]
         return _pack((f % modulus).coeffs, w)
 
     low = _pack([-c % p for c in m[:-1]], w)  # x**d mod m
-    folds = [(k * w, low << (k - d) * w) for k in range(2 * d - 2, d - 1, -1)]
+    folds = [(k * w, low << (k - d) * w) for k in range(2 * d - 1, d - 1, -1)]
 
-    def mulmod(x: int, y: int, c: int = 0) -> int:
-        prod = x * y + c
-        for shift, row in folds:
-            prod += (prod >> shift & mask) % p * row
+    def mulmod(x: int, y: int, c: int = 0, shift: bool = False) -> int:
+        prod = (x * y + c) << w * shift
+        for s, row in folds:
+            prod += (prod >> s & mask) % p * row
         v = 0
         for s in reversed(slots):
             v = v << w | (prod >> s & mask) % p
@@ -485,15 +488,18 @@ def _compose_mod(g: Poly, h: Poly, modulus: Poly) -> Poly:
 
 
 def pow_mod(base: Poly, exponent: int, modulus: Poly) -> Poly:
-    """base**exponent reduced modulo `modulus` by square-and-multiply."""
+    """base**exponent reduced modulo `modulus` by square-and-multiply; when base is x mod
+    `modulus`, a 1 bit shifts the square up a slot instead of multiplying by x."""
     if exponent < 0:
         raise ValueError("negative exponents are not supported")
     if modulus.degree < 1:
         return base % modulus  # raises for a zero modulus; all else is 0 modulo a unit
     pack, mulmod, unpack = _mulmod_by(modulus)
     b, result = pack(base), 1
+    by_x = unpack(b).coeffs == (0, 1)
     for bit in bin(exponent)[2:]:
-        result = mulmod(result, result)
-        if bit == "1":
+        one = bit == "1"
+        result = mulmod(result, result, 0, one and by_x)
+        if one and not by_x:
             result = mulmod(result, b)
     return unpack(result)

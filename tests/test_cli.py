@@ -1029,3 +1029,26 @@ class TestGoldenBytes:
             if path.is_file()
         }
         assert written == GOLDEN_SHA256
+
+
+# gen-params files whose moduli come from the random Ben-Or search at p = 2**61 - 1:
+# the cli_ceremony benchmark's profile, and one mixing degrees 3, 5 and 8.
+GOLDEN_MODULI_SHA256 = {
+    "4x16": (
+        ["--d0", "4", "--levels", "6,10", "--thresholds", "3,6", "--degrees", "4x16", "--seed", "3"],
+        "811768c465dc7987f54ec41dfa517393028546df9f45387280062c1dde00dce9",
+    ),
+    "3,5,8": (
+        ["--d0", "3", "--levels", "3", "--thresholds", "3", "--degrees", "3,5,8", "--seed", "5"],
+        "35a9e3722d133e8033ca17e9dc26f878082d67e0977b3a75122a9ec51a7242e9",
+    ),
+}
+
+
+class TestGoldenModuli:
+    @pytest.mark.parametrize("profile", GOLDEN_MODULI_SHA256)
+    def test_seeded_random_search_matches_recorded_digest(self, tmp_path, capsys, profile):
+        argv, digest = GOLDEN_MODULI_SHA256[profile]
+        out = tmp_path / "params.json"
+        assert run(capsys, "gen-params", "--p", str(2**61 - 1), *argv, "--out", str(out))[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

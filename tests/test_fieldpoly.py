@@ -1,6 +1,7 @@
 """Unit and property tests for the F_p[x] arithmetic core."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from crtdhss.fieldpoly import (
     _crt_basis,
     _divmod,
     _mul,
+    _mulmod_by,
     _power_columns,
     _residues,
     _rows,
@@ -557,11 +559,15 @@ WIDEST_P = 2**64 - 59  # the largest prime that params.MAX_PRIME = 2**64 - 1 adm
 
 
 class TestPackingWidth:
-    """A slot of the packed kernel must hold (2d - 1)(p - 1)**2: d products and
-    d - 1 folds of the high slots. These cases come close to that bound at the
-    largest admitted p, at every modulus degree from 1 to 8. At d = 3, 5, 6
-    and 7 a slot one bit narrower overflows on the near-full cases; at d = 1,
-    2, 4 and 8 it would still hold, as 2d - 1 < 2**bits(d) there."""
+    """A slot of the packed kernel must hold (2d - 1)(p - 1)**2 for a product:
+    d products and d - 1 folds of the high slots. A square shifted up a slot
+    (a 1 bit of x**e in `pow_mod`) folds d high slots, so 2d (p - 1)**2, d
+    products and d folds, bounds it; slot by slot it peaks at (2d - 1)(p - 1)**2
+    too (slot d: d products, d - 1 folds; slot d - 1: d - 1 products, d folds).
+    These cases come close to those bounds at the largest admitted p, at every
+    modulus degree from 1 to 8. At d = 3, 5, 6 and 7 a slot one bit narrower
+    overflows on the near-full cases of both kinds; at d = 1, 2, 4 and 8 it
+    would still hold, as 2d - 1 < 2d <= 2**bits(d) there."""
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_every_coefficient_p_minus_1(self, d):
@@ -591,6 +597,28 @@ class TestPackingWidth:
             assert _desc(pow_mod(a, 2, m)) == gf_pow_mod(_desc(a), 2, _desc(m), p, ZZ)
             expected = gf_compose_mod(_desc(a), _desc(h), _desc(m), p, ZZ)
             assert _desc(_compose_mod(a, h, m)) == expected
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_near_full_shifted_square(self, d):
+        # As in `test_near_full_operands`, but the top coefficient p - isqrt(p) + j squares to
+        # just below p, so the top slot too folds in near (p - 1)**2; the square is shifted up
+        # a slot. Then x**e, whose 1 bits shift the square and whose 0 bits do not (p has both).
+        p = WIDEST_P
+        rng = random.Random(200 + d)
+        x = Poly.x_power(p, 1)
+        for k in range(60):
+            m = Poly(p, [rng.randrange(2**32) for _ in range(d)] + [1])
+            a = Poly(p, [p - 1 - rng.randrange(2**32) for _ in range(d - 1)]
+                     + [p - math.isqrt(p) + rng.randrange(2**16)])
+            pack, mulmod, unpack = _mulmod_by(m)
+            expected = gf_rem(gf_mul(gf_mul(_desc(a), _desc(a), p, ZZ), _desc(x), p, ZZ),
+                              _desc(m), p, ZZ)
+            assert _desc(unpack(mulmod(pack(a), pack(a), 0, True))) == expected
+            if k < 4:
+                for exponent in (2, 5, p):
+                    assert _desc(pow_mod(x, exponent, m)) == gf_pow_mod(
+                        _desc(x), exponent, _desc(m), p, ZZ
+                    )
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_frobenius_over_mersenne_61(self, d):
