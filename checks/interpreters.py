@@ -101,6 +101,16 @@ SETS = {
          "--degrees", "1,2,2", "--hash-backend", "table", "--table-seed", "7", "--seed", "17"],
         [("analyze", "full", "2", 20), ("analyze", "coalition", "3", 21)],
     ),
+    "repeat2": (  # the degree-13 sampling draws a modulus it already chose, and skips it
+        ["--p", "2", "--d0", "1", "--levels", "1,2", "--thresholds", "1,2", "--degrees", "13x3",
+         "--seed", "12"],
+        [("deal", "1", 28), ("reconstruct", (1,)), ("reconstruct", (2, 3))],
+    ),
+    "repeat4099": (  # the linear sampling draws a root it already chose, and skips it
+        ["--p", "4099", "--d0", "1", "--levels", "2,2", "--thresholds", "1,2",
+         "--degrees", "1x4", "--seed", "21"],
+        [("deal", "5", 29), ("reconstruct", (1,)), ("reconstruct", (3, 4))],
+    ),
     "refused": (  # F_3 has only two linear moduli without the factor x
         ["--p", "3", "--d0", "1", "--levels", "2,3", "--thresholds", "1,2", "--degrees", "1x5",
          "--seed", "22"],

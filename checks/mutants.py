@@ -305,6 +305,38 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "draw_moduli_keeps_repeats",
+        "src/crtdhss/params.py",
+        "if key not in seen and (linear or is_irreducible(Poly(p, key + (1,)))):",
+        "if linear or is_irreducible(Poly(p, key + (1,))):",
+        (
+            "tests/test_params.py::TestGenerateModuli"
+            "::test_recorded_outputs[case7-coeffs7-3621853979]",
+            "tests/test_params.py::TestGenerateModuli"
+            "::test_recorded_outputs[case8-coeffs8-4199394388]",
+        ),
+    ),
+    Mutant(
+        "draw_moduli_linear_root_may_be_zero",
+        "src/crtdhss/params.py",
+        "key = rng.randrange(1, p) if linear",
+        "key = rng.randrange(p) if linear",
+        (
+            "tests/test_params.py::TestGenerateModuli"
+            "::test_recorded_outputs[case7-coeffs7-3621853979]",
+        ),
+    ),
+    Mutant(
+        "draw_moduli_refuses_a_whole_class",
+        "src/crtdhss/params.py",
+        "if count > available:",
+        "if count >= available:",
+        (
+            "tests/test_params.py::TestGenerateModuli::test_distinct_linear_moduli[f3_whole_class]",
+            "tests/test_params.py::TestGenerateModuli::test_every_quadratic_over_f3",
+        ),
+    ),
+    Mutant(
         "exit_table_generic_row_first",
         "src/crtdhss/cli.py",
         "_ERRORS_TO_EXIT = (\n",

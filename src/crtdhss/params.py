@@ -268,27 +268,6 @@ def is_irreducible(f: Poly) -> bool:
     return not poly_gcd(u - x, f).degree
 
 
-def _linear_moduli(p: int, count: int, rng: random.Random) -> list[Poly]:
-    # x - a with a != 0, so the constant term is nonzero; p - 1 are usable.
-    if count > p - 1:
-        raise InsufficientIrreduciblesError(
-            f"need {count} linear moduli but only {p - 1} avoid the factor x"
-        )
-    if p <= _ENUMERATION_CUTOFF:
-        roots = list(range(1, p))
-        rng.shuffle(roots)
-        chosen = roots[:count]
-    else:
-        seen: set[int] = set()
-        chosen = []
-        while len(chosen) < count:
-            a = rng.randrange(1, p)
-            if a not in seen:
-                seen.add(a)
-                chosen.append(a)
-    return [Poly(p, [-a, 1]) for a in chosen]
-
-
 @functools.lru_cache(maxsize=64)
 def _enumerated_irreducibles(p: int, degree: int) -> tuple[Poly, ...]:
     """Every monic irreducible of this degree over F_p, in index order.
@@ -301,27 +280,27 @@ def _enumerated_irreducibles(p: int, degree: int) -> tuple[Poly, ...]:
     return tuple(f for f in monics if is_irreducible(f))
 
 
-def _higher_degree_moduli(p: int, degree: int, count: int, rng: random.Random) -> list[Poly]:
-    available = monic_irreducible_count(p, degree)
+def _draw_moduli(p: int, degree: int, count: int, rng: random.Random) -> list[Poly]:
+    """`count` distinct monic irreducibles of one degree over F_p, none equal to x."""
+    linear = degree == 1
+    available = p - 1 if linear else monic_irreducible_count(p, degree)
     if count > available:
         raise InsufficientIrreduciblesError(
-            f"need {count} monic irreducibles of degree {degree} over F_{p}, "
-            f"only {available} exist"
+            f"need {count} monic irreducibles of degree {degree} over F_{p} "
+            f"other than x, only {available} exist"
         )
     if p**degree <= _ENUMERATION_CUTOFF:
-        candidates = list(_enumerated_irreducibles(p, degree))
-        rng.shuffle(candidates)
-        return candidates[:count]
-    chosen: list[Poly] = []
-    seen: set[tuple[int, ...]] = set()
+        members = list(range(1, p) if linear else _enumerated_irreducibles(p, degree))
+        rng.shuffle(members)
+        return [Poly(p, [-a, 1]) for a in members[:count]] if linear else members[:count]
+    chosen: list = []  # roots at degree 1, else low coefficients
+    seen: set = set()
     while len(chosen) < count:
-        coeffs = [rng.randrange(p) for _ in range(degree)] + [1]
-        f = Poly(p, coeffs)
-        if f.coeffs in seen or not is_irreducible(f):
-            continue
-        seen.add(f.coeffs)
-        chosen.append(f)
-    return chosen
+        key = rng.randrange(1, p) if linear else tuple([rng.randrange(p) for _ in range(degree)])
+        if key not in seen and (linear or is_irreducible(Poly(p, key + (1,)))):
+            seen.add(key)
+            chosen.append(key)
+    return [Poly(p, [-k, 1] if linear else k + (1,)) for k in chosen]
 
 
 def generate_moduli(
@@ -333,6 +312,11 @@ def generate_moduli(
     output equals x, so conditions on the constant term hold by construction.
     The profile must be nondecreasing; condition (iii) against a threshold
     sequence remains the caller's responsibility.
+
+    Every degree class is drawn by `_draw_moduli`: refused if too small,
+    shuffled whole when p**degree <= _ENUMERATION_CUTOFF, else sampled with
+    repeats skipped before the irreducibility test. Degree 1 differs only in
+    its members, the p - 1 roots a != 0 of x - a, drawn by randrange(1, p).
     """
     _check_field(p)
     profile = tuple(degree_profile)
@@ -343,9 +327,5 @@ def generate_moduli(
 
     moduli: list[Poly] = []
     for degree, run in itertools.groupby(profile):  # each degree draws once, in ascending order
-        count = len(list(run))
-        if degree == 1:
-            moduli += _linear_moduli(p, count, rng)
-        else:
-            moduli += _higher_degree_moduli(p, degree, count, rng)
+        moduli += _draw_moduli(p, degree, len(list(run)), rng)
     return tuple(moduli)

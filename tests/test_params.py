@@ -182,15 +182,24 @@ class TestPublicParamsConstruction:
 
 
 class TestGenerateModuli:
-    def test_distinct_linear_moduli(self):
-        moduli = generate_moduli(11, [1, 1, 1], random.Random(1))
-        assert len(set(moduli)) == 3
-        assert all(m.degree == 1 and m.coefficient(0) != 0 for m in moduli)
+    # (3, 2) takes the whole linear class over F_3: x - 1 and x - 2.
+    @pytest.mark.parametrize("p, count", [(11, 3), (3, 2)], ids=["f11", "f3_whole_class"])
+    def test_distinct_linear_moduli(self, p, count):
+        moduli = generate_moduli(p, [1] * count, random.Random(1))
+        assert len(set(moduli)) == count
+        assert {m.coeffs for m in moduli} <= {linear(p, a).coeffs for a in range(1, p)}
         assert is_pairwise_coprime(moduli)
 
-    def test_linear_class_exhaustion(self):
+    # The class has p - 1 members; 4099 is above the enumeration cutoff, so
+    # it must refuse before its first rejection-sampling draw.
+    @pytest.mark.parametrize(
+        "p, count", [(3, 8), (3, 3), (4099, 4099)], ids=["f3", "f3_one_over", "f4099_one_over"]
+    )
+    def test_linear_class_exhaustion(self, p, count):
+        rng = random.Random(1)
         with pytest.raises(InsufficientIrreduciblesError):
-            generate_moduli(3, [1] * 8, random.Random(1))
+            generate_moduli(p, [1] * count, rng)
+        assert rng.getrandbits(32) == random.Random(1).getrandbits(32)
 
     def test_quadratics_over_f5(self):
         s = AccessStructure((2,), (2,))
@@ -199,10 +208,19 @@ class TestGenerateModuli:
         assert report.ok
         assert all(is_irreducible(m) for m in moduli)
 
-    def test_quadratic_class_exhaustion(self):
-        # only 3 monic irreducible quadratics exist over F_3
+    def test_every_quadratic_over_f3(self):
+        moduli = generate_moduli(3, [2, 2, 2], random.Random(1))
+        assert {m.coeffs for m in moduli} == {(1, 0, 1), (2, 1, 1), (2, 2, 1)}
+
+    # One more than the class: 3 quadratics over F_3, and 630 = (2^13 - 2)/13
+    # of degree 13 over F_2, which is above the enumeration cutoff and must
+    # refuse before its first rejection-sampling draw.
+    @pytest.mark.parametrize("p, degree, count", [(3, 2, 4), (2, 13, 631)], ids=["f3", "f2_deg13"])
+    def test_quadratic_class_exhaustion(self, p, degree, count):
+        rng = random.Random(1)
         with pytest.raises(InsufficientIrreduciblesError):
-            generate_moduli(3, [2, 2, 2, 2], random.Random(1))
+            generate_moduli(p, [degree] * count, rng)
+        assert rng.getrandbits(32) == random.Random(1).getrandbits(32)
 
     def test_output_satisfies_first_two_conditions_and_coprimality(self):
         for seed in range(5):
@@ -246,6 +264,18 @@ class TestGenerateModuli:
         ),
         ((2147483647, (2, 3), 5),
          [(1592975436, 769949150, 1), (243107963, 798420159, 1007318097, 1)], 3729944832),
+        # Each of the last two samples a candidate it has already chosen, and
+        # must skip it: once for degree 1 and once for degree 13.
+        ((4099, (1, 1, 1, 1), 21), [(2747, 1), (674, 1), (1794, 1), (174, 1)], 3621853979),
+        (
+            (2, (13, 13, 13), 12),
+            [
+                (1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1),
+                (1, 1, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+                (1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1),
+            ],
+            4199394388,
+        ),
     ]
 
     @pytest.mark.parametrize("case, coeffs, next_draw", RECORDED)
