@@ -346,6 +346,28 @@ MUTANTS = (
             "tests/test_cli.py::TestDealReconstruct::test_corrupted_share_exit_5",
         ),
     ),
+    Mutant(
+        "yang_deal_shares_from_bottom_master",
+        "src/crtdhss/yang.py",
+        "Share(i, level, residues[level - 1][i - 1])",
+        "Share(i, level, residues[-1][i - 1])",
+        (
+            "tests/test_yang.py::TestYangDeal::test_share_assignment_by_level",
+            "tests/test_scheme.py::TestDeal::test_masters_are_the_secret_then_alpha_digits[2]",
+            "tests/test_scheme.py::TestDeal::test_masters_are_the_secret_then_alpha_digits[3]",
+        ),
+    ),
+    Mutant(
+        "deal_masks_from_bottom_master",
+        "src/crtdhss/scheme.py",
+        "_sub(residues[level - 1][i - 1], digests, params.p)",
+        "_sub(residues[-1][i - 1], digests, params.p)",
+        (
+            "tests/test_scheme.py::TestUnmask::test_masked_share_reduces_to_master_residue",
+            "tests/test_scheme.py::TestMaskNormalization::test_entries_and_unmasked_shares[table]",
+            "tests/test_scheme.py::TestMaskNormalization::test_entries_and_unmasked_shares[crypto]",
+        ),
+    ),
 )
 
 # A node id may hold spaces (a parametrized id such as "[degree overflow]"); a failure's

@@ -194,7 +194,6 @@ def cmd_analyze(args) -> int:
     p, d0 = params.p, params.d0
     expected_fiber = p**theta
     expected_total = p ** (theta + d0)
-    budget.check(expected_fiber)  # count_fibers checks expected_total before any scan
 
     preimage_counts = {
         " ".join(str(c) for c in secret): count

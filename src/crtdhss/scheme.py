@@ -7,6 +7,8 @@ masks let a share act as a residue of f_l after hash-unmasking, so any
 coalition meeting some level's threshold can CRT-reconstruct f_l and read
 the secret off its low-order coefficients. `_layout` alone states what a
 deal draws and publishes; the deal and the auditor (`oracle`) both read it.
+`deal` returns exactly the shares and the bulletin: f_l gives the secret
+away as f_l mod x**d0, so it never leaves the call.
 
 Secrets and shares are fixed-length coefficient vectors, not normalized
 polynomials: the coefficient-wise hash must cover trailing zeros too.
@@ -117,35 +119,34 @@ def _layout(structure: AccessStructure, params: PublicParams) -> tuple[list, int
     return alpha_lens, n_random, keys
 
 
-def _master_polys(
+def _master_residues(
     structure: AccessStructure,
     params: PublicParams,
     alpha_lens: Sequence[int],
     secret: tuple[int, ...],
     rng: random.Random,
-) -> tuple[tuple[Poly, ...], list[list[tuple[int, ...]]]]:
-    """f_1..f_m, and residues[l - 1][i - 1] = f_l mod m_i padded to d_i for each i <= N_l."""
+) -> list[list[tuple[int, ...]]]:
+    """residues[l - 1][i - 1] = f_l mod m_i padded to d_i for each i <= N_l."""
     # Draw order: alpha_1..alpha_m, then the random share vectors (caller).
-    polys, residues = [], []
+    residues = []
     for alpha_len, bound in zip(alpha_lens, structure.prefix_counts):
         digits = secret + _draw_vector(rng, params.p, alpha_len)  # f_l = secret | alpha_l
-        polys.append(Poly(params.p, digits))
         residues.append(_residues(digits, params.moduli[:bound], len(digits)))
-    return tuple(polys), residues
+    return residues
 
 
-def deal_with_internals(
+def deal(
     structure: AccessStructure,
     params: PublicParams,
     family: HashFamily,
     secret: Sequence[int],
     rng: random.Random,
-) -> tuple[tuple[Share, ...], Bulletin, tuple[Poly, ...]]:
-    """Deal and also return the dealer's master polynomials (for audits/tests)."""
+) -> tuple[tuple[Share, ...], Bulletin]:
+    """Produce all n shares and the public bulletin for the given secret."""
     _check_setup(structure, params, family)
     vector = _check_secret(params, secret)
     alpha_lens, n_random, keys = _layout(structure, params)
-    masters, residues = _master_polys(structure, params, alpha_lens, vector, rng)
+    residues = _master_residues(structure, params, alpha_lens, vector, rng)
 
     shares = []
     for i in range(1, structure.n + 1):
@@ -161,19 +162,7 @@ def deal_with_internals(
         digests = family.hash_vector(level, shares[i - 1].coeffs)
         entries[(level, i)] = _poly(params.p, _sub(residues[level - 1][i - 1], digests, params.p))
 
-    return tuple(shares), Bulletin(entries), masters
-
-
-def deal(
-    structure: AccessStructure,
-    params: PublicParams,
-    family: HashFamily,
-    secret: Sequence[int],
-    rng: random.Random,
-) -> tuple[tuple[Share, ...], Bulletin]:
-    """Produce all n shares and the public bulletin for the given secret."""
-    shares, bulletin, _ = deal_with_internals(structure, params, family, secret, rng)
-    return shares, bulletin
+    return tuple(shares), Bulletin(entries)
 
 
 def unmask_share(family: HashFamily, bulletin: Bulletin, share: Share, use_level: int) -> Poly:

@@ -8,7 +8,8 @@ secret from public data plus its own shares. Both the honest protocol and
 the attack are implemented so the break can be demonstrated end to end.
 
 Masks are carried as a `Bulletin` keyed (2, i) for i in the top level: a
-mask lets a top-level share stand in at the bottom trust level.
+mask lets a top-level share stand in at the bottom trust level. `yang_deal`
+returns exactly the shares and that bulletin; f_1 and f_2 never leave the call.
 
 Both paths open f_l through the hierarchical scheme's degree-checked
 `_open`, so weight beyond the threshold detects a tampered share here too.
@@ -27,7 +28,7 @@ from .scheme import (
     Share,
     _check_secret,
     _layout,
-    _master_polys,
+    _master_residues,
     _open,
     _pool_shares,
     _recover,
@@ -42,16 +43,16 @@ def _check_two_level(structure: AccessStructure, params: PublicParams) -> None:
     check_params(structure, params)
 
 
-def yang_deal_with_internals(
+def yang_deal(
     structure: AccessStructure,
     params: PublicParams,
     secret: Sequence[int],
     rng: random.Random,
-) -> tuple[tuple[Share, ...], Bulletin, tuple[Poly, ...]]:
-    """Deal and also return f_1, f_2 (for audits/tests)."""
+) -> tuple[tuple[Share, ...], Bulletin]:
+    """Produce all n shares plus the published masks for the top level."""
     _check_two_level(structure, params)
     vector = _check_secret(params, secret)
-    masters, residues = _master_polys(structure, params, _layout(structure, params)[0], vector, rng)
+    residues = _master_residues(structure, params, _layout(structure, params)[0], vector, rng)
     n1 = structure.level_sizes[0]
 
     shares = []
@@ -64,18 +65,7 @@ def yang_deal_with_internals(
         (MASK_LEVEL, i): _poly(params.p, _sub(residues[1][i - 1], shares[i - 1].coeffs, params.p))
         for i in range(1, n1 + 1)
     }
-    return tuple(shares), Bulletin(masks), masters
-
-
-def yang_deal(
-    structure: AccessStructure,
-    params: PublicParams,
-    secret: Sequence[int],
-    rng: random.Random,
-) -> tuple[tuple[Share, ...], Bulletin]:
-    """Produce all n shares plus the published masks for the top level."""
-    shares, masks, _ = yang_deal_with_internals(structure, params, secret, rng)
-    return shares, masks
+    return tuple(shares), Bulletin(masks)
 
 
 def yang_reconstruct(

@@ -569,6 +569,21 @@ class TestAnalyze:
         assert code == 0
         return path
 
+    def gen_fibers_of_three(self, tmp_path, capsys):
+        # levels (2,2) over F_3 with degrees 2,2,3,3: coalition {3} leaves one
+        # free coefficient, so each secret's fiber holds 3 tuples and all hold 9
+        path = tmp_path / "params.json"
+        code, _, _ = run(
+            capsys,
+            "gen-params",
+            "--p", "3", "--levels", "2,2", "--thresholds", "1,2",
+            "--degrees", "2,2,3,3", "--seed", "1",
+            "--hash-backend", "table", "--table-seed", "2",
+            "--out", str(path),
+        )
+        assert code == 0
+        return path
+
     def test_report_uniform_and_zero_loss(self, tmp_path, capsys):
         params_path = self.gen_tiny_params(tmp_path, capsys)
         report_path = tmp_path / "report.json"
@@ -714,20 +729,20 @@ class TestAnalyze:
         assert err == "error: enumeration needs 3 states, budget allows 2\n"
         assert scans == []
 
+    def test_budget_below_a_fiber_names_the_tuple_total(self, tmp_path, capsys):
+        # a budget below one fiber (3) is below the 9 tuples of all fibers too,
+        # and those 9 are the first number analyze needs
+        params_path = self.gen_fibers_of_three(tmp_path, capsys)
+        analyze = ["analyze", "--params", str(params_path), "--coalition", "3", "--seed", "5"]
+        for budget in ("2", "3", "8"):
+            code, out, err = run(capsys, *analyze, "--budget", budget)
+            assert (code, out) == (7, "")
+            assert err == f"error: enumeration needs 9 states, budget allows {budget}\n"
+
     @pytest.mark.parametrize("mode", ["coalition", "full"])
     def test_preimage_counts_equal_the_per_secret_counts(self, tmp_path, capsys, mode):
-        # analyze counts every secret's fiber in one pass per level; coalition
-        # {3} leaves one free coefficient, so each fiber holds 3 tuples
-        params_path = tmp_path / "params.json"
-        code, _, _ = run(
-            capsys,
-            "gen-params",
-            "--p", "3", "--levels", "2,2", "--thresholds", "1,2",
-            "--degrees", "2,2,3,3", "--seed", "1",
-            "--hash-backend", "table", "--table-seed", "2",
-            "--out", str(params_path),
-        )
-        assert code == 0
+        # analyze counts every secret's fiber in one pass per level
+        params_path = self.gen_fibers_of_three(tmp_path, capsys)
         analyze = ["analyze", "--params", str(params_path), "--coalition", "3"]
         code, out, _ = run(capsys, *analyze, "--mode", mode, "--seed", "5")
         assert code == 0

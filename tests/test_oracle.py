@@ -8,6 +8,7 @@ import re
 from operator import mul
 
 import pytest
+from conftest import dealt_masters
 
 from crtdhss import oracle, scheme
 from crtdhss.errors import BudgetExceededError, FieldMismatchError, NoCrtSolutionError
@@ -541,9 +542,8 @@ class TestSolve:
         p, d0 = params.p, params.d0
         alpha_lens = scheme._layout(structure, params)[0]
         for seed in range(5):
-            shares, bulletin, masters = scheme.deal_with_internals(
-                structure, params, family, (seed,), random.Random(seed)
-            )
+            shares, bulletin = deal(structure, params, family, (seed,), random.Random(seed))
+            masters = dealt_masters(structure, params, (seed,), random.Random(seed))
             digits = [seed]
             for f, alpha_len in zip(masters, alpha_lens):
                 digits += f.padded(d0 + alpha_len)[d0:]

@@ -1,9 +1,11 @@
 """Round trips, bulletin structure, and failure modes of the hierarchy scheme."""
 
+import copy
 import itertools
 import random
 
 import pytest
+from conftest import dealt_masters
 
 from crtdhss import oracle, scheme, yang
 from crtdhss.errors import (
@@ -26,7 +28,6 @@ from crtdhss.scheme import (
     Bulletin,
     Share,
     deal,
-    deal_with_internals,
     reconstruct,
     unmask_share,
 )
@@ -64,12 +65,9 @@ def random_secret(params, rng):
 class TestDeal:
     def test_single_level_has_empty_bulletin_and_residue_shares(self):
         structure, params, family = make_setup(11, (3,), (2,), [1, 1, 1])
-        rng = random.Random(5)
-        shares, bulletin, masters = deal_with_internals(
-            structure, params, family, (7,), rng
-        )
+        shares, bulletin = deal(structure, params, family, (7,), random.Random(5))
         assert bulletin.entries == {}
-        f = masters[0]
+        (f,) = dealt_masters(structure, params, (7,), random.Random(5))
         for share in shares:
             assert share.poly(11) == f % params.moduli[share.participant - 1]
 
@@ -93,10 +91,8 @@ class TestDeal:
 
     def test_bulletin_entries_unmask_to_master_residues(self):
         structure, params, family = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=2)
-        rng = random.Random(8)
-        shares, bulletin, masters = deal_with_internals(
-            structure, params, family, (9,), rng
-        )
+        shares, bulletin = deal(structure, params, family, (9,), random.Random(8))
+        masters = dealt_masters(structure, params, (9,), random.Random(8))
         for (level, i), w in bulletin.entries.items():
             expected = masters[level - 1] % params.moduli[i - 1]
             masked = family.hash_poly(level, shares[i - 1].coeffs)
@@ -138,10 +134,8 @@ class TestDeal:
         structure, params, family = make_setup(
             11, (2, 3), (2, 3), [2, 2, 2, 2, 3], seed=1
         )
-        rng = random.Random(4)
-        shares, bulletin, masters = deal_with_internals(
-            structure, params, family, (1,), rng
-        )
+        shares, bulletin = deal(structure, params, family, (1,), random.Random(4))
+        masters = dealt_masters(structure, params, (1,), random.Random(4))
         degrees = params.degrees
         for share in shares:
             assert len(share.coeffs) == degrees[share.participant - 1]
@@ -152,13 +146,11 @@ class TestDeal:
             assert f.degree < sum(degrees[:t])
 
     def test_masters_stay_congruent_to_secret(self):
-        structure, params, family = make_setup(
+        structure, params, _ = make_setup(
             11, (2, 2), (1, 2), [2, 2, 2, 2], d0=2, seed=6
         )
         secret = (3, 8)
-        _, _, masters = deal_with_internals(
-            structure, params, family, secret, random.Random(1)
-        )
+        masters = dealt_masters(structure, params, secret, random.Random(1))
         for f in masters:
             assert (f % params.secret_modulus).padded(2) == secret
 
@@ -168,37 +160,49 @@ class TestDeal:
         # many of these digit vectors end in zeros, so f_l has fewer coefficients than digits
         structure, params, family = make_setup(p, (1, 2), (1, 2), [2, 3, 3], d0=2)
         alpha_lens = [sum(params.degrees[:t]) - params.d0 for t in structure.thresholds]
+        n_random = structure.prefix_counts[-2]
         trailing_zeros = 0
         for secret in itertools.product(range(p), repeat=params.d0):
             if all(secret):
                 continue
             for seed in range(12):
-                replay = random.Random(seed)
-                alphas = [tuple(replay.randrange(p) for _ in range(n)) for n in alpha_lens]
-                expected = tuple(Poly(p, secret + alpha) for alpha in alphas)
-                trailing_zeros += sum((secret + alpha)[-1] == 0 for alpha in alphas)
+                masters = dealt_masters(structure, params, secret, random.Random(seed))
+                digit_counts = [len(secret) + n for n in alpha_lens]
+                trailing_zeros += sum(len(f.coeffs) < k for f, k in zip(masters, digit_counts))
 
-                masters, residues = scheme._master_polys(
+                residues = scheme._master_residues(
                     structure, params, alpha_lens, secret, random.Random(seed)
                 )
-                assert masters == expected
                 for f, bound, rows in zip(masters, structure.prefix_counts, residues):
                     assert len(rows) == bound
                     for m, row in zip(params.moduli, rows):
                         assert row == (f % m).padded(m.degree)
 
-                _, _, masters = deal_with_internals(
-                    structure, params, family, secret, random.Random(seed)
-                )
-                assert masters == expected
-                shares, _, masters = yang.yang_deal_with_internals(
-                    structure, params, secret, random.Random(seed)
-                )
-                assert masters == expected
+                # the bottom level's shares of a deal, and every share of a Yang deal
+                shares = deal(structure, params, family, secret, random.Random(seed))[0][n_random:]
+                shares += yang.yang_deal(structure, params, secret, random.Random(seed))[0]
                 for share in shares:
                     m = params.moduli[share.participant - 1]
                     assert share.coeffs == (masters[share.level - 1] % m).padded(m.degree)
         assert trailing_zeros > 0
+
+    def test_a_deal_draws_alphas_then_random_shares(self):
+        # After alpha_1..alpha_m, participants 1..N_{m-1} take the next d_i draws each, in
+        # participant order; the bottom level holds f_m mod m_i.
+        structure, params, family = make_setup(11, (2, 2, 3), (1, 2, 3), [3, 3, 3, 4, 4, 4, 4])
+        n_random = structure.prefix_counts[-2]
+        for seed in range(8):
+            secret = (seed,)
+            replay = random.Random(seed)
+            masters = dealt_masters(structure, params, secret, replay)
+            shares, _ = deal(structure, params, family, secret, random.Random(seed))
+            for share in shares:
+                m = params.moduli[share.participant - 1]
+                if share.participant <= n_random:
+                    expected = tuple(replay.randrange(params.p) for _ in range(m.degree))
+                else:
+                    expected = (masters[-1] % m).padded(m.degree)
+                assert share.coeffs == expected
 
     def test_wrong_secret_length(self):
         structure, params, family = make_setup(11, (3,), (2,), [1, 1, 1])
@@ -360,10 +364,8 @@ class TestFamilyCheck:
 class TestUnmask:
     def setup_shares(self):
         structure, params, family = make_setup(11, (2, 2), (1, 2), [1] * 4, seed=2)
-        rng = random.Random(11)
-        shares, bulletin, masters = deal_with_internals(
-            structure, params, family, (4,), rng
-        )
+        shares, bulletin = deal(structure, params, family, (4,), random.Random(11))
+        masters = dealt_masters(structure, params, (4,), random.Random(11))
         return structure, params, family, shares, bulletin, masters
 
     def test_bottom_level_share_passes_through(self):
@@ -414,9 +416,9 @@ class TestMaskNormalization:
         p, untrimmed = params.p, 0
         for seed in range(40):
             rng = random.Random(seed)
-            shares, bulletin, masters = deal_with_internals(
-                structure, params, family, random_secret(params, rng), rng
-            )
+            secret = random_secret(params, rng)
+            masters = dealt_masters(structure, params, secret, copy.deepcopy(rng))
+            shares, bulletin = deal(structure, params, family, secret, rng)
             for (level, i), entry in bulletin.entries.items():
                 coeffs = shares[i - 1].coeffs
                 digests = family.hash_vector(level, coeffs)

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from conftest import dealt_masters
 
 from crtdhss.errors import (
     AttackNotApplicableError,
@@ -21,12 +22,7 @@ from crtdhss.params import (
     validate_params,
 )
 from crtdhss.scheme import Bulletin, Share
-from crtdhss.yang import (
-    yang_attack,
-    yang_deal,
-    yang_deal_with_internals,
-    yang_reconstruct,
-)
+from crtdhss.yang import yang_attack, yang_deal, yang_reconstruct
 
 
 def make_setup(p, level_sizes, thresholds, degrees, d0=1, seed=0):
@@ -46,18 +42,16 @@ class TestYangDeal:
 
     def test_masks_encode_master_difference(self):
         structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=3)
-        shares, masks, masters = yang_deal_with_internals(
-            structure, params, (2,), random.Random(7)
-        )
+        _, masks = yang_deal(structure, params, (2,), random.Random(7))
+        masters = dealt_masters(structure, params, (2,), random.Random(7))
         diff = masters[1] - masters[0]
         for i in range(1, 4):
             assert masks.entry(2, i) == diff % params.moduli[i - 1]
 
     def test_share_assignment_by_level(self):
         structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=3)
-        shares, _, masters = yang_deal_with_internals(
-            structure, params, (2,), random.Random(7)
-        )
+        shares, _ = yang_deal(structure, params, (2,), random.Random(7))
+        masters = dealt_masters(structure, params, (2,), random.Random(7))
         for share in shares:
             f = masters[0] if share.participant <= 3 else masters[1]
             assert share.poly(11) == f % params.moduli[share.participant - 1]
@@ -100,7 +94,8 @@ class TestYangReconstruct:
     def test_a_zero_mask_is_still_a_mask(self):
         # c_1 = f_2 mod m_1 publishes w_1 = 0, a falsy Poly that must not read as absent
         structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=5)
-        shares, masks, masters = yang_deal_with_internals(structure, params, (9,), random.Random(2))
+        shares, masks = yang_deal(structure, params, (9,), random.Random(2))
+        masters = dealt_masters(structure, params, (9,), random.Random(2))
         m1 = params.moduli[0]
         forged = Share(1, 1, (masters[1] % m1).padded(m1.degree))
         entries = {**masks.entries, (2, 1): Poly.zero(11)}
@@ -131,9 +126,7 @@ class TestYangAttack:
     def test_master_difference_degree_bound(self):
         structure, params = make_setup(11, (3, 4), (2, 3), [1] * 7, seed=5)
         for trial in range(20):
-            _, _, masters = yang_deal_with_internals(
-                structure, params, (trial % 11,), random.Random(trial)
-            )
+            masters = dealt_masters(structure, params, (trial % 11,), random.Random(trial))
             assert (masters[1] - masters[0]).degree < sum(params.degrees[:3])
 
     def test_exhaustive_over_all_secrets_tiny_fields(self):
