@@ -111,6 +111,12 @@ SETS = {
          "--degrees", "1x4", "--seed", "21"],
         [("deal", "5", 29), ("reconstruct", (1,)), ("reconstruct", (3, 4))],
     ),
+    "frobenius3": (  # p divides every degree, so the sampled degree-9 class skips the parity check
+        ["--p", "3", "--d0", "2", "--levels", "2,2", "--thresholds", "1,2", "--degrees", "3,9,9,9",
+         "--seed", "30"],
+        [("deal", "1,2", 31), ("yang", "1,2", 32), ("reconstruct", (1,)), ("reconstruct", (3, 4)),
+         ("attack", (3,))],
+    ),
     "refused": (  # F_3 has only two linear moduli without the factor x
         ["--p", "3", "--d0", "1", "--levels", "2,3", "--thresholds", "1,2", "--degrees", "1x5",
          "--seed", "22"],

@@ -130,6 +130,48 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "parity_sign_dropped",
+        "src/crtdhss/params.py",
+        "disc = (-1) ** (d * (d - 1) // 2) * _resultant",
+        "disc = _resultant",
+        (
+            "tests/test_params.py::TestDiscriminantParity::test_never_refuses_an_irreducible[3-2]",
+            "tests/test_params.py::TestDiscriminantParity::test_never_refuses_an_irreducible[7-3]",
+            "tests/test_params.py::TestDiscriminantParity"
+            "::test_stickelberger_against_sympy_factor_counts[2305843009213693951]",
+        ),
+    ),
+    Mutant(
+        "parity_targets_swapped",
+        "src/crtdhss/params.py",
+        "(1 if d % 2 else p - 1)",
+        "(p - 1 if d % 2 else 1)",
+        (
+            "tests/test_params.py::TestDiscriminantParity::test_never_refuses_an_irreducible[5-2]",
+            "tests/test_params.py::TestDiscriminantParity"
+            "::test_stickelberger_against_sympy_factor_counts[18446744073709551557]",
+            "tests/test_params.py::TestIrreducibility::test_matches_trial_division_small_fields",
+        ),
+    ),
+    Mutant(
+        "parity_check_at_p_2",
+        "src/crtdhss/params.py",
+        "if p > 2 and d % p:",
+        "if d % p:",
+        ("tests/test_params.py::TestDiscriminantParity::test_never_refuses_an_irreducible[2-3]",),
+    ),
+    Mutant(
+        "resultant_lc_power_skipped",
+        "src/crtdhss/fieldpoly.py",
+        "* res * pow(b[-1], len(a) - len(r), p) % p",
+        "* res % p",
+        (
+            "tests/test_fieldpoly.py::TestSympyCrossCheck::test_resultant",
+            "tests/test_params.py::TestDiscriminantParity::test_never_refuses_an_irreducible[5-4]",
+            "tests/test_params.py::TestDiscriminantParity::test_never_refuses_an_irreducible[7-4]",
+        ),
+    ),
+    Mutant(
         "degenerate_seed_any_for_all",
         "src/crtdhss/hashing.py",
         "if all(self._digests(i, (v,)) == self._digests(j, (v,)) for v in range(self.p)):",

@@ -21,7 +21,8 @@ reduced once. The public layer (`Poly` operators, module functions) checks
 once that all operands share one field, raising `FieldMismatchError`
 otherwise, and wraps kernel results with `_poly`, a trusted constructor
 without the reduction pass and trailing-zero scan of `Poly(p, coeffs)`,
-which stays the only checked entry point. Euclid loops on tuples.
+which stays the only checked entry point. Euclid (`poly_gcd`, `_resultant`)
+loops on tuples.
 """
 
 from __future__ import annotations
@@ -274,6 +275,19 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while b:
         a, b = b, _divmod(a, b, p)[1]
     return _poly(p, _monic(a, p))
+
+
+def _resultant(a: tuple[int, ...], b: tuple[int, ...], p: int) -> int:
+    """Res(a, b) for nonzero a, b by Euclid: Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r)
+    Res(b, r) with r = a mod b, down to Res(a, c) = c^(deg a) for a constant c; 0 if r = 0."""
+    res = 1
+    while len(b) > 1:
+        r = _divmod(a, b, p)[1]
+        if not r:
+            return 0
+        res = (-1) ** ((len(a) - 1) * (len(b) - 1)) * res * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .errors import InsufficientIrreduciblesError, InvalidParametersError
 from .fieldpoly import (
     Poly,
     _compose_mod,
+    _resultant,
     is_pairwise_coprime,
     is_prime,
     poly_gcd,
@@ -29,6 +31,11 @@ from .fieldpoly import (
 from .hashing import check_config
 
 MAX_PRIME = 2**64 - 1
+# Size bounds on operator input, checked before any list, count or search; far above the sizes
+# tests, workloads and README use (degree 13, 24 participants); a degree-64 draw at 2^61 - 1
+# takes about 2 s.
+MAX_DEGREE = 64
+MAX_PARTICIPANTS = 1024
 
 # Exhaustive irreducible search is used below this candidate-space size;
 # larger spaces fall back to rejection sampling.
@@ -66,6 +73,8 @@ class AccessStructure:
             raise ValueError("level sizes and thresholds must align and be nonempty")
         if any(n < 1 for n in sizes):
             raise ValueError("every level must have at least one participant")
+        if sum(sizes) > MAX_PARTICIPANTS:
+            raise ValueError(f"at most {MAX_PARTICIPANTS} participants are supported")
         if thresholds[0] < 1:
             raise ValueError("thresholds start at 1")
         if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
@@ -237,17 +246,21 @@ def monic_irreducible_count(p: int, degree: int) -> int:
     """Number of monic irreducible polynomials of the given degree over F_p."""
     if degree < 1:
         raise ValueError("degree must be positive")
-    total = 0
-    for e in range(1, degree + 1):
-        if degree % e == 0:
-            total += _mobius(e) * p ** (degree // e)
-    return total // degree
+    divisors = [e for e in range(1, math.isqrt(degree) + 1) if degree % e == 0]
+    divisors += [degree // e for e in divisors if e * e != degree]
+    return sum(_mobius(e) * p ** (degree // e) for e in divisors) // degree
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Irreducibility over F_p via Frobenius powers (Ben-Or's test).
+    """Irreducibility over F_p: a discriminant parity check, then Ben-Or's Frobenius powers.
 
-    f is reducible iff it has an irreducible factor of degree k <= deg(f)/2,
+    Stickelberger (as Swan states it): for odd p, a squarefree f of degree d with r
+    irreducible factors has a square disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f) iff
+    r = d (mod 2). So for an irreducible f (r = 1) Euler's criterion must give 1 at odd d
+    and p - 1 at even d; it gives 0 when f is not squarefree. That refuses about half the
+    candidates before any x^p. Skipped for p = 2 and when p | d (f' drops degree).
+
+    Ben-Or: f is reducible iff it has an irreducible factor of degree k <= deg(f)/2,
     which is detected by gcd(x^(p^k) - x, f) != 1, tried for k = 1, 2, ...
     so that most reducible candidates exit at k = 1, on x^p mod f from one
     `pow_mod`. Frobenius is F_p-linear, so if u(x) = x^(p^(k-1)) mod f then
@@ -258,7 +271,13 @@ def is_irreducible(f: Poly) -> bool:
         return False
     if d == 1:
         return True
-    p = f.p
+    p, c = f.p, f.coeffs
+    if p > 2 and d % p:
+        derivative = tuple([k * c[k] % p for k in range(1, d + 1)])
+        # times lc(f) rather than over it: the same quadratic character
+        disc = (-1) ** (d * (d - 1) // 2) * _resultant(c, derivative, p) * c[-1]
+        if pow(disc, (p - 1) // 2, p) != (1 if d % 2 else p - 1):
+            return False
     x = Poly.x_power(p, 1)
     u = frobenius = pow_mod(x, p, f)
     for _ in range(d // 2 - 1):
@@ -324,6 +343,8 @@ def generate_moduli(
         raise ValueError("degree profile must be nonempty and positive")
     if any(a > b for a, b in zip(profile, profile[1:])):
         raise ValueError("degree profile must be nondecreasing")
+    if profile[-1] > MAX_DEGREE:
+        raise ValueError(f"modulus degree {profile[-1]} is above the largest, {MAX_DEGREE}")
 
     moduli: list[Poly] = []
     for degree, run in itertools.groupby(profile):  # each degree draws once, in ascending order

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -262,6 +264,39 @@ class TestGenParams:
         assert code == 2
         assert "fit in 64 bits" in err
         assert not out.exists()
+
+
+# Sizes that hung or ran out of memory before `params` bounded them: a degree whose class
+# count looped over every e up to 10**11, a degree-400 search at 2**61 - 1, and 10**9
+# participants, whose degree list alone would take 8 GB.
+OVERSIZED = {
+    "degree_1e11": ["--p", "13", "--levels", "1", "--thresholds", "1", "--degrees", "99999999999"],
+    "degree_400": ["--p", str(2**61 - 1), "--levels", "1", "--thresholds", "1", "--degrees", "400"],
+    "participants_1e9": [
+        "--p", "13", "--levels", "1000000000", "--thresholds", "1", "--degrees", "1x1000000000"
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED)
+def test_oversized_gen_params_exit_2_under_a_memory_cap(tmp_path, argv):
+    # a fresh interpreter caps its own address space at 1 GiB before importing the package
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from crtdhss.cli import main\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "x.json"
+    argv = ["gen-params", *argv, "--d0", "1", "--seed", "1", "--out", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code, src, *argv], capture_output=True, text=True, timeout=10
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+    assert not out.exists()
 
 
 class TestDealReconstruct:

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
@@ -32,6 +33,7 @@ from crtdhss.fieldpoly import (
     _mulmod_by,
     _power_columns,
     _residues,
+    _resultant,
     _rows,
     crt_combine,
     inverse_mod,
@@ -551,6 +553,22 @@ class TestSympyCrossCheck:
             h = Poly(p, [rng.randrange(p) for _ in range(rng.randint(0, m.degree + 3))])
             expected = gf_compose_mod(_desc(g), _desc(h), _desc(m), p, ZZ)
             assert _desc(_compose_mod(g, h, m)) == expected
+
+    def test_resultant(self):
+        # sympy is asked with the larger degree first; the other order is the swap rule
+        x, zeros = sympy.Symbol("x"), 0
+        for a, b in CROSS_PAIRS:
+            if a.is_zero:
+                continue
+            if a.degree < b.degree:
+                a, b = b, a
+            p = a.p
+            a_sym, b_sym = (sympy.Poly(_desc(f), x, modulus=p) for f in (a, b))
+            expected = int(a_sym.resultant(b_sym)) % p
+            assert _resultant(a.coeffs, b.coeffs, p) == expected
+            assert _resultant(b.coeffs, a.coeffs, p) == (-1) ** (a.degree * b.degree) * expected % p
+            zeros += expected == 0
+        assert 0 < zeros < len(CROSS_PAIRS) // 2
 
 
 # -- the packed product kernel at its widest slots ----------------------------

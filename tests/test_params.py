@@ -11,13 +11,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtdhss import fieldpoly
+from crtdhss import fieldpoly, params
 from crtdhss.cli import main
 from crtdhss.errors import InsufficientIrreduciblesError, InvalidParametersError
 from crtdhss.fieldpoly import Poly, is_pairwise_coprime, poly_gcd, vectors
 from crtdhss.fileio import save_bulletin, save_params, save_share
 from crtdhss.hashing import family_from_params
 from crtdhss.params import (
+    MAX_DEGREE,
+    MAX_PARTICIPANTS,
     AccessStructure,
     PublicParams,
     ValidationReport,
@@ -41,6 +43,33 @@ def linear(p, a):
 def params_with_degrees(p, d0, degrees, seed=0):
     moduli = generate_moduli(p, degrees, random.Random(seed))
     return PublicParams(p=p, d0=d0, moduli=moduli)
+
+
+@pytest.fixture
+def parity_probe(monkeypatch):
+    """f -> (a resultant was taken, Frobenius was reached) while `is_irreducible(f)` runs.
+
+    Reaching `pow_mod` means f passed the discriminant parity check, or skipped it."""
+    calls = collections.Counter()
+
+    def counted(name):
+        function = getattr(params, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(params, name, wrapper)
+
+    counted("_resultant")
+    counted("pow_mod")
+
+    def probe(f):
+        calls.clear()
+        is_irreducible(f)
+        return calls["_resultant"] > 0, calls["pow_mod"] > 0
+
+    return probe
 
 
 class TestAccessStructure:
@@ -321,12 +350,19 @@ class TestIrreducibility:
             verdicts.append(expected)
         assert True in verdicts and False in verdicts
 
-    def test_reducible_without_linear_factor(self):
+    def test_reducible_without_linear_factor(self, parity_probe):
         # (x^2 + 1)(x^2 + x + 2) over F_3: both factors are irreducible
         # quadratics, so only the second Frobenius power exposes it.
         f = Poly(3, [1, 0, 1]) * Poly(3, [2, 1, 1])
         assert not is_irreducible(f)
         assert poly_gcd(f, Poly(3, [0, 1])) == Poly.one(3)
+        # That f has an even number of factors at even degree, so the discriminant
+        # parity check refuses it first. (x^2 + 2)(x^2 + 3)(x^2 + x + 1) over F_5
+        # has three: it passes the check, and again only x^(p^2) exposes it.
+        f = Poly(5, [2, 0, 1]) * Poly(5, [3, 0, 1]) * Poly(5, [1, 1, 1])
+        assert parity_probe(f) == (True, True)
+        assert not is_irreducible(f)
+        assert poly_gcd(f, Poly.x_power(5, 5) - Poly.x_power(5, 1)) == Poly.one(5)
 
     def test_counts_match_formula(self):
         # degree 6 takes the Mobius function's branch for a composite with no square factor
@@ -341,6 +377,82 @@ class TestIrreducibility:
     )
     def test_degrees_below_two_decided_without_frobenius(self, f, expected):
         assert is_irreducible(f) is expected
+
+
+def reducible_monics(p, degree):
+    """Every monic of this degree over F_p that is a product of two monics of lower degree."""
+    def monics(k):
+        return [Poly(p, low + (1,)) for low in vectors(p, k)]
+
+    return {g * h for k in range(1, degree // 2 + 1) for g in monics(k) for h in monics(degree - k)}
+
+
+class TestDiscriminantParity:
+    """`is_irreducible` refuses a candidate whose discriminant has the wrong quadratic
+    character before any Frobenius power, and skips the check for p = 2 and p | d."""
+
+    @pytest.mark.parametrize(
+        "p, degree",
+        [(2, 3), (2, 4), (2, 8), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3),
+         (5, 4), (5, 5), (7, 2), (7, 3), (7, 4), (11, 2), (11, 3)],
+    )
+    def test_never_refuses_an_irreducible(self, parity_probe, p, degree):
+        checked = p > 2 and degree % p != 0
+        reducible = reducible_monics(p, degree)
+        reached = collections.Counter()
+        for low in vectors(p, degree):
+            f = Poly(p, low + (1,))
+            took_resultant, reached_frobenius = parity_probe(f)
+            assert took_resultant == checked
+            assert reached_frobenius or f in reducible
+            reached[reached_frobenius] += 1
+        assert reached[True] > 0
+        assert (reached[False] > 0) == checked
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59])  # 3 and 1 modulo 4
+    def test_stickelberger_against_sympy_factor_counts(self, parity_probe, p):
+        # a squarefree f's discriminant is a square iff its factor count r = d (mod 2),
+        # so f passes the check (square exactly at odd d) iff r is odd
+        x, rng = sympy.Symbol("x"), random.Random(p)
+        for degree in range(2, 9):
+            passed = set()
+            for _ in range(12):
+                coeffs = [rng.randrange(p) for _ in range(degree)] + [1]
+                factors = sympy.Poly(coeffs[::-1], x, modulus=p).factor_list()[1]
+                assert all(k == 1 for _, k in factors)
+                expected = len(factors) % 2 == 1
+                assert parity_probe(Poly(p, coeffs)) == (True, expected)
+                passed.add(expected)
+            assert passed == {True, False}
+
+    def test_square_factor_refused_before_frobenius(self, parity_probe):
+        # a zero discriminant fails Euler's criterion for either target
+        square = Poly(7, [1, 1]) * Poly(7, [1, 1])
+        for f in (square, square * Poly(7, [3, 1])):
+            assert parity_probe(f) == (True, False)
+            assert not is_irreducible(f)
+
+
+class TestSizeBounds:
+    def test_participant_count(self):
+        assert AccessStructure((MAX_PARTICIPANTS,), (1,)).n == MAX_PARTICIPANTS
+        with pytest.raises(ValueError, match=f"at most {MAX_PARTICIPANTS} participants"):
+            AccessStructure((MAX_PARTICIPANTS, 1), (1, 2))
+
+    def test_modulus_degree(self):
+        (modulus,) = generate_moduli(2, [MAX_DEGREE], random.Random(0))
+        assert modulus.degree == MAX_DEGREE
+        with pytest.raises(ValueError, match=f"above the largest, {MAX_DEGREE}"):
+            generate_moduli(2, [1, MAX_DEGREE + 1], random.Random(0))
+
+    def test_count_loops_over_divisors_only(self, monkeypatch):
+        seen = []
+        mobius = params._mobius
+        monkeypatch.setattr(params, "_mobius", lambda e: seen.append(e) or mobius(e))
+        divisors = [e for e in range(1, 1001) if 1000 % e == 0]
+        expected = sum(mobius(e) * 3 ** (1000 // e) for e in divisors) // 1000
+        assert monic_irreducible_count(3, 1000) == expected
+        assert sorted(seen) == divisors
 
 
 @pytest.mark.parametrize(
